@@ -17,30 +17,28 @@ real Groebner computations on the matrix at hand.  Three kinds of output:
 * classify emits every linear-type / fiber-type / annihilation conclusion
   whose shape matches and whose height hypotheses verify; conclusions with
   unverified hypotheses are never emitted.
+
+CONCLUSION_RULES, STATUS_RULES and BOUND_RULES are ordered catalog tables.
+Each conclusion checks the gs.SPECIALIZATION_CASES schedule of its instance,
+uncapped or capped at d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .errors import (
-    CharacteristicError,
-    DomainError,
-    GenericHeightError,
-    NotApplicableError,
-    NotAttestedError,
-)
+from .errors import CharacteristicError, DomainError, NotApplicableError, NotAttestedError
 from .groebner import LowerIdealCache
-from .gs import ProblemInstance
+from .gs import ProblemInstance, matching, specialization_case
 from .matrixalg import MatrixKind, PolyMatrix
 from .resolutions import n_constants
+
+_ORD, _SYM, _ALT = MatrixKind.ORDINARY, MatrixKind.SYMMETRIC, MatrixKind.ALTERNATING
 
 # Claim kinds a classification can assert.
 LINEAR_TYPE = "linear_type"
 FIBER_TYPE = "fiber_type"
-REES_SPECIALIZES = "rees_specializes"
-REES_COHEN_MACAULAY = "rees_cohen_macaulay"
 MAXIMAL_IDEAL_ANNIHILATES = "ideal_annihilated_by_maximal_ideal"
 LOW_POWER_RELATIONS_VANISH = "low_power_relations_vanish"
 
@@ -142,48 +140,20 @@ class ClassificationReport:
 
 @dataclass(frozen=True)
 class GenericStatus:
-    """Known behavior of the generic ideal; None means no statement."""
+    """Known behavior of the generic ideal; None means no statement.
+
+    flag_sources maps each flag with a statement to the label that set it.
+    """
 
     linear_type: bool | None = None
     fiber_type: bool | None = None
     td_finite_all_k: bool | None = None
     td_infinite_some_k: bool | None = None
-    sources: tuple[str, ...] = ()
+    flag_sources: dict[str, str] = field(default_factory=dict, hash=False)
 
-
-def _case_tag(inst: ProblemInstance) -> str:
-    """Case letter i..v used by the specialization and capped criteria."""
-    if inst.kind is MatrixKind.ORDINARY:
-        return "i" if inst.t == inst.m else "ii"
-    if inst.kind is MatrixKind.SYMMETRIC:
-        return "iii"
-    if 2 * inst.t == inst.n:
-        raise NotApplicableError("alternating 2t = n (a single Pfaffian) has no specialization criterion")
-    return "iv" if 2 * inst.t == inst.n - 1 else "v"
-
-
-def _hypothesis_schedule(inst: ProblemInstance) -> list[tuple[int, int]]:
-    """(j, uncapped threshold) pairs for the instance's case."""
-    m, n, t = inst.m, inst.n, inst.t
-    case = _case_tag(inst)
-    if case == "i":
-        return [(j, (m - j + 1) * (n - m) + 1) for j in range(1, m)]
-    if case == "ii":
-        return [(j, (m - j + 1) * (n - j + 1)) for j in range(1, t)]
-    if case == "iii":
-        return [(j, comb(n - j + 2, 2)) for j in range(1, t)]
-    if case == "iv":
-        return [(j, n - 2 * j + 2) for j in range(1, (n - 3) // 2 + 1)]
-    return [(j, comb(n - 2 * j + 2, 2)) for j in range(1, t)]
-
-
-def _require_generic(M: PolyMatrix, inst: ProblemInstance, cache: LowerIdealCache):
-    size = 2 * inst.t if inst.kind is MatrixKind.ALTERNATING else inst.t
-    gh = cache.generic_report(size)
-    if not gh.ok:
-        raise GenericHeightError(
-            f"the ideal is not of generic height: height {gh.actual}, expected {gh.expected}"
-        )
+    @property
+    def sources(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(self.flag_sources.values()))
 
 
 def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | None = None) -> HypothesisReport:
@@ -197,18 +167,17 @@ def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | 
         raise DomainError(f"mode must be 'specialization' or 'bounds', got {mode!r}")
     inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
-    _require_generic(M, inst, cache)
-    case = _case_tag(inst)
-    source = (f"Prop 4.7{case}" if mode == "specialization" else f"Cor 5.1.4{case}")
+    cache.require_generic(t)
+    case = specialization_case(inst)
+    capped = mode == "bounds"
     rows = []
-    for j, theta in _hypothesis_schedule(inst):
-        required = theta if mode == "specialization" else min(theta, inst.d)
+    for j, required in case.schedule(inst, capped):
         actual = cache.lower_height(j)
         rows.append(HypothesisRow(j=j, required=required, actual=actual, satisfied=actual >= required))
     return HypothesisReport(
         mode=mode,
-        case=case,
-        source=source,
+        case=case.tag,
+        source=case.source(capped),
         per_j=tuple(rows),
         all_satisfied=all(r.satisfied for r in rows),
     )
@@ -219,129 +188,70 @@ def specialization_check(M: PolyMatrix, t: int, cache: LowerIdealCache | None = 
     the generic one, and is it Cohen-Macaulay where the catalog says so."""
     inst = ProblemInstance.from_matrix(M, t)
     report = hypothesis_check(M, t, "specialization", cache=cache)
-    specializes = report.all_satisfied
-    cm = "unknown"
-    if specializes:
-        case = report.case
-        if case in ("i", "iv"):
-            cm = "yes"
-        elif case == "ii":
-            if inst.char == 0 or inst.char > min(inst.t, inst.m - inst.t):
-                cm = "yes"
-        elif case == "v":
-            if inst.char == 0 or inst.char > min(2 * inst.t, inst.n - 2 * inst.t):
-                cm = "yes"
-    return SpecializationResult(specializes=specializes, cohen_macaulay=cm, source=report.source, report=report)
+    cm = report.all_satisfied and specialization_case(inst).cohen_macaulay(inst)
+    return SpecializationResult(
+        specializes=report.all_satisfied,
+        cohen_macaulay="yes" if cm else "unknown",
+        source=report.source,
+        report=report,
+    )
 
 
 # -- generic-case status ------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class StatusRule:
+    kind: MatrixKind
+    shape: Callable[[ProblemInstance], bool]
+    source: str
+    flags: tuple[tuple[str, bool], ...]
+
+
+_LINEAR = (("linear_type", True),)
+_NOT_LINEAR = (("linear_type", False), ("td_infinite_some_k", True))
+_TD_FINITE = (("td_finite_all_k", True),)
+
+STATUS_RULES = (
+    StatusRule(_ORD, lambda i: i.t == 1, "Prop 5.2.1a", _LINEAR),
+    StatusRule(_ORD, lambda i: i.t == i.m and i.n <= i.m + 1, "Prop 5.2.1b", _LINEAR),
+    StatusRule(_ORD, lambda i: i.t == i.m and i.n >= i.m + 2, "Prop 5.2.1c", _NOT_LINEAR),
+    StatusRule(_ORD, lambda i: i.t == i.m, "Prop 5.2.1d", (("fiber_type", True),)),
+    StatusRule(_ORD, lambda i: i.m == i.n and i.t == i.n - 1, "Prop 5.2.1e", _LINEAR),
+    StatusRule(_ORD, lambda i: i.char == 0 and i.m == 3 and i.t == 2, "Prop 5.2.1f", (("fiber_type", True),)),
+    StatusRule(_ORD, lambda i: i.t == 2, "Prop 5.2.1g", _TD_FINITE),
+    StatusRule(_ORD, lambda i: 2 < i.t < i.m and not (i.t + 1 == i.m == i.n), "Prop 5.2.1h", _NOT_LINEAR),
+    StatusRule(_SYM, lambda i: i.t == 1, "Prop 5.3.1a", _LINEAR),
+    StatusRule(_SYM, lambda i: i.t == i.n, "Prop 5.3.1b", _LINEAR),
+    StatusRule(_SYM, lambda i: i.t == i.n - 1, "Prop 5.3.1c", _LINEAR),
+    StatusRule(_SYM, lambda i: i.t == 2, "Prop 5.3.1d", _TD_FINITE),
+    StatusRule(_SYM, lambda i: 2 < i.t < i.n - 1, "Prop 5.3.1e", _NOT_LINEAR),
+    StatusRule(_ALT, lambda i: i.size == 2, "Prop 5.4.1a", _LINEAR),
+    StatusRule(_ALT, lambda i: i.size == i.n, "Prop 5.4.1b", _LINEAR),
+    StatusRule(_ALT, lambda i: i.size == i.n - 1, "Prop 5.4.1c", _LINEAR),
+    StatusRule(_ALT, lambda i: i.size == i.n - 2 and i.char != 2, "Prop 5.4.1d", _LINEAR),
+    StatusRule(_ALT, lambda i: i.size == 4, "Prop 5.4.1e", _TD_FINITE),
+    StatusRule(_ALT, lambda i: 4 < i.size < i.n - 2, "Prop 5.4.1f", _NOT_LINEAR),
+)
+
+# The two td flags contradict each other; the first rule to set one wins.
+_RIVAL_FLAG = {"td_finite_all_k": "td_infinite_some_k", "td_infinite_some_k": "td_finite_all_k"}
+
+
 def generic_status(inst: ProblemInstance) -> GenericStatus:
-    """What is known about the generic ideal with these parameters."""
-    flags = {
-        "linear_type": None,
-        "fiber_type": None,
-        "td_finite_all_k": None,
-        "td_infinite_some_k": None,
-    }
-    sources: list[str] = []
-
-    def apply(src: str, **updates):
-        wrote = False
-        for name, val in updates.items():
-            if flags[name] is not None:
-                continue
-            # The two td flags contradict each other; first writer wins.
-            if name == "td_finite_all_k" and flags["td_infinite_some_k"]:
-                continue
-            if name == "td_infinite_some_k" and flags["td_finite_all_k"]:
-                continue
-            flags[name] = val
-            wrote = True
-        if wrote:
-            sources.append(src)
-
-    m, n, t = inst.m, inst.n, inst.t
-    if inst.kind is MatrixKind.ORDINARY:
-        if t == 1:
-            apply("Prop 5.2.1a", linear_type=True)
-        if t == m and n <= m + 1:
-            apply("Prop 5.2.1b", linear_type=True)
-        if t == m and n >= m + 2:
-            apply("Prop 5.2.1c", linear_type=False, td_infinite_some_k=True)
-        if t == m:
-            apply("Prop 5.2.1d", fiber_type=True)
-        if m == n and t == n - 1:
-            apply("Prop 5.2.1e", linear_type=True)
-        if inst.char == 0 and m == 3 and t == 2:
-            apply("Prop 5.2.1f", fiber_type=True)
-        if t == 2:
-            apply("Prop 5.2.1g", td_finite_all_k=True)
-        if 2 < t < m and not (t + 1 == m == n):
-            apply("Prop 5.2.1h", linear_type=False, td_infinite_some_k=True)
-    elif inst.kind is MatrixKind.SYMMETRIC:
-        if t == 1:
-            apply("Prop 5.3.1a", linear_type=True)
-        if t == n:
-            apply("Prop 5.3.1b", linear_type=True)
-        if t == n - 1:
-            apply("Prop 5.3.1c", linear_type=True)
-        if t == 2:
-            apply("Prop 5.3.1d", td_finite_all_k=True)
-        if 2 < t < n - 1:
-            apply("Prop 5.3.1e", linear_type=False, td_infinite_some_k=True)
-    else:
-        two_t = 2 * t
-        if two_t == 2:
-            apply("Prop 5.4.1a", linear_type=True)
-        if two_t == n:
-            apply("Prop 5.4.1b", linear_type=True)
-        if two_t == n - 1:
-            apply("Prop 5.4.1c", linear_type=True)
-        if two_t == n - 2 and inst.char != 2:
-            apply("Prop 5.4.1d", linear_type=True)
-        if two_t == 4:
-            apply("Prop 5.4.1e", td_finite_all_k=True)
-        if 4 < two_t < n - 2:
-            apply("Prop 5.4.1f", linear_type=False, td_infinite_some_k=True)
-
-    return GenericStatus(sources=tuple(sources), **flags)
+    """What is known about the generic ideal with these parameters; each
+    flag keeps the value of the first matching rule that sets it."""
+    flags: dict[str, bool] = {}
+    flag_sources: dict[str, str] = {}
+    for rule in matching(STATUS_RULES, inst):
+        for name, value in rule.flags:
+            if name not in flags and _RIVAL_FLAG.get(name) not in flags:
+                flags[name] = value
+                flag_sources[name] = rule.source
+    return GenericStatus(**flags, flag_sources=flag_sources)
 
 
 # -- degree bounds ------------------------------------------------------------
-
-_CHAR_ZERO_RULES = {"5.2.4", "5.2.6", "5.2.8", "5.4.5", "5.4.7", "5.4.8"}
-
-
-def select_bound_rule(inst: ProblemInstance) -> str | None:
-    """Which degree-bound criterion covers the instance; None when nothing
-    does.  Exactly one criterion (or None) per parameter tuple."""
-    m, n, t = inst.m, inst.n, inst.t
-    if inst.kind is MatrixKind.ORDINARY:
-        if t == m:
-            return "5.2.2"
-        if m == n and t == n - 1:
-            return "5.2.6"
-        if t == 2:
-            return "5.2.4"
-        if 2 < t < m:
-            return "5.2.8"
-        return None  # t = 1 < m
-    if inst.kind is MatrixKind.SYMMETRIC:
-        return "5.3.2" if t == n - 1 else None
-    two_t = 2 * t
-    if two_t == n:
-        return None
-    if two_t == n - 1:
-        return "5.4.3"
-    if two_t == n - 2:
-        return "5.4.5"
-    if two_t == 4:
-        return "5.4.7"
-    if 4 < two_t:
-        return "5.4.8"
-    return None  # 2t = 2 below every covered family
 
 
 def _sym_generic(delta: int, fn: str, k: int) -> str:
@@ -357,19 +267,32 @@ def _not_applicable(source: str, threshold: int) -> DegreeBoundsResult:
     )
 
 
+def _vanishing(source: str) -> DegreeBoundsResult:
+    return DegreeBoundsResult(True, source, BoundValue.neg_inf(), BoundValue.neg_inf())
+
+
+def _shifted(source: str, inst: ProblemInstance, extra: int = 0) -> DegreeBoundsResult:
+    """b0 <= (d-1)(delta-1) + extra, td <= d(delta-1) + extra."""
+    b0 = (inst.d - 1) * (inst.delta - 1) + extra
+    return DegreeBoundsResult(True, source, BoundValue.finite(b0), BoundValue.finite(b0 + inst.delta - 1))
+
+
+def _generic_b0(inst: ProblemInstance, k: int, extra: int = 0) -> BoundValue:
+    """max{delta*b0(A_k(J)), (d-1)(delta-1) + extra}."""
+    return BoundValue.conditional(_sym_generic(inst.delta, "b0", k), (inst.d - 1) * (inst.delta - 1) + extra)
+
+
+def _generic_td(inst: ProblemInstance, k: int, extra: int, note: str) -> BoundValue:
+    """max{delta*td(A_k(J)), d(delta-1) + extra}."""
+    return BoundValue.conditional(_sym_generic(inst.delta, "td", k), inst.d * (inst.delta - 1) + extra, note=note)
+
+
 def _rule_5_2_2(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
     m, n, d, delta = inst.m, inst.n, inst.d, inst.delta
     if n == m:
-        return DegreeBoundsResult(True, "Thm 5.2.2a", BoundValue.neg_inf(), BoundValue.neg_inf())
+        return _vanishing("Thm 5.2.2a")
     if n == m + 1:
-        if d > min(k, m):
-            return DegreeBoundsResult(True, "Thm 5.2.2b", BoundValue.neg_inf(), BoundValue.neg_inf())
-        return DegreeBoundsResult(
-            True,
-            "Thm 5.2.2b",
-            BoundValue.finite((d - 1) * (delta - 1)),
-            BoundValue.finite(d * (delta - 1)),
-        )
+        return _vanishing("Thm 5.2.2b") if d > min(k, m) else _shifted("Thm 5.2.2b", inst)
     length = min(k, m) * (n - m)
     b0 = BoundValue.finite(0) if d - 1 > length else BoundValue.finite((d - 1) * (delta - 1))
     td = BoundValue.pos_inf(note="the generic concentration degree is infinite for some power [Prop 5.2.1c]")
@@ -380,45 +303,29 @@ def _rule_5_2_4(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
     m, d, delta = inst.m, inst.d, inst.delta
     td_note = "the generic term is finite for every power [Prop 5.2.1g]"
     if m == 3:
-        return DegreeBoundsResult(
-            True,
-            "Thm 5.2.4a",
-            BoundValue.finite((d - 1) * (delta - 1)),
-            BoundValue.conditional(_sym_generic(delta, "td", k), d * (delta - 1), note=td_note),
-        )
+        b0 = BoundValue.finite((d - 1) * (delta - 1))
+        return DegreeBoundsResult(True, "Thm 5.2.4a", b0, _generic_td(inst, k, 0, td_note))
     if k < 2:
         return _not_applicable("Thm 5.2.4b", 2)
     extra = delta * (m - k - 1) if k <= m - 2 else 0
-    return DegreeBoundsResult(
-        True,
-        "Thm 5.2.4b",
-        BoundValue.conditional(_sym_generic(delta, "b0", k), (d - 1) * (delta - 1) + extra),
-        BoundValue.conditional(_sym_generic(delta, "td", k), d * (delta - 1) + extra, note=td_note),
-    )
+    return DegreeBoundsResult(True, "Thm 5.2.4b", _generic_b0(inst, k, extra), _generic_td(inst, k, extra, td_note))
 
 
 def _rule_5_2_6(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
-    n, d, delta = inst.n, inst.d, inst.delta
+    n = inst.n
     if k < n - 1:
         return _not_applicable("Thm 5.2.6", n - 1)
-    bump = delta * n_constants("square_submax", n)
-    return DegreeBoundsResult(
-        True,
-        "Thm 5.2.6",
-        BoundValue.finite((d - 1) * (delta - 1) + bump),
-        BoundValue.finite(d * (delta - 1) + bump),
-    )
+    return _shifted("Thm 5.2.6", inst, inst.delta * n_constants("square_submax", n))
 
 
 def _rule_5_2_8(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
-    m, t, d, delta = inst.m, inst.t, inst.d, inst.delta
+    m = inst.m
     if k < m - 1:
         return _not_applicable("Thm 5.2.8", m - 1)
-    bump = delta * n_constants("ordinary_minors", t)
     return DegreeBoundsResult(
         True,
         "Thm 5.2.8",
-        BoundValue.conditional(_sym_generic(delta, "b0", k), (d - 1) * (delta - 1) + bump),
+        _generic_b0(inst, k, inst.delta * n_constants("ordinary_minors", inst.t)),
         BoundValue.pos_inf(note="the generic concentration degree is infinite for some power [Prop 5.2.1h]"),
     )
 
@@ -443,10 +350,10 @@ def _rule_5_3_2(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
 def _rule_5_4_3(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
     n, d, delta = inst.n, inst.d, inst.delta
     if d >= n or k <= d - 2:
-        return DegreeBoundsResult(True, "Thm 5.4.3d", BoundValue.neg_inf(), BoundValue.neg_inf())
+        return _vanishing("Thm 5.4.3d")
     if k == d - 1:
         if d % 2 == 1:
-            return DegreeBoundsResult(True, "Thm 5.4.3c", BoundValue.neg_inf(), BoundValue.neg_inf())
+            return _vanishing("Thm 5.4.3c")
         base = (d - 1) * (delta - 1)
         return DegreeBoundsResult(
             True,
@@ -454,26 +361,15 @@ def _rule_5_4_3(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
             BoundValue.finite(base),
             BoundValue.finite(base + delta * (n - d + 1) // 2 - 1),
         )
-    return DegreeBoundsResult(
-        True,
-        "Thm 5.4.3a",
-        BoundValue.finite((d - 1) * (delta - 1)),
-        BoundValue.finite(d * (delta - 1)),
-    )
+    return _shifted("Thm 5.4.3a", inst)
 
 
 def _rule_5_4_5(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
-    n, d, delta = inst.n, inst.d, inst.delta
+    n = inst.n
     source = "Thm 5.4.5a" if n % 4 == 0 else "Thm 5.4.5b"
     if k < n - 2:
         return _not_applicable(source, n - 2)
-    bump = delta * n_constants("pfaff_n_minus_2", n)
-    return DegreeBoundsResult(
-        True,
-        source,
-        BoundValue.finite((d - 1) * (delta - 1) + bump),
-        BoundValue.finite(d * (delta - 1) + bump),
-    )
+    return _shifted(source, inst, inst.delta * n_constants("pfaff_n_minus_2", n))
 
 
 def _pfaffian_k_threshold(n: int) -> int:
@@ -481,47 +377,53 @@ def _pfaffian_k_threshold(n: int) -> int:
 
 
 def _rule_5_4_7(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
-    n, d, delta = inst.n, inst.d, inst.delta
-    threshold = _pfaffian_k_threshold(n)
+    threshold = _pfaffian_k_threshold(inst.n)
     if k < threshold:
         return _not_applicable("Thm 5.4.7", threshold)
-    return DegreeBoundsResult(
-        True,
-        "Thm 5.4.7",
-        BoundValue.conditional(_sym_generic(delta, "b0", k), (d - 1) * (delta - 1)),
-        BoundValue.conditional(
-            _sym_generic(delta, "td", k),
-            d * (delta - 1),
-            note="the generic term is finite for every power [Prop 5.4.1e]",
-        ),
-    )
+    td_note = "the generic term is finite for every power [Prop 5.4.1e]"
+    return DegreeBoundsResult(True, "Thm 5.4.7", _generic_b0(inst, k), _generic_td(inst, k, 0, td_note))
 
 
 def _rule_5_4_8(inst: ProblemInstance, k: int) -> DegreeBoundsResult:
-    n, t, d, delta = inst.n, inst.t, inst.d, inst.delta
-    threshold = _pfaffian_k_threshold(n)
+    threshold = _pfaffian_k_threshold(inst.n)
     if k < threshold:
         return _not_applicable("Thm 5.4.8", threshold)
-    bump = delta * n_constants("pfaff_general", t)
     return DegreeBoundsResult(
         True,
         "Thm 5.4.8",
-        BoundValue.conditional(_sym_generic(delta, "b0", k), (d - 1) * (delta - 1) + bump),
+        _generic_b0(inst, k, inst.delta * n_constants("pfaff_general", inst.t)),
         BoundValue.pos_inf(note="the generic concentration degree is infinite for some power [Prop 5.4.1f]"),
     )
 
 
-_RULES = {
-    "5.2.2": _rule_5_2_2,
-    "5.2.4": _rule_5_2_4,
-    "5.2.6": _rule_5_2_6,
-    "5.2.8": _rule_5_2_8,
-    "5.3.2": _rule_5_3_2,
-    "5.4.3": _rule_5_4_3,
-    "5.4.5": _rule_5_4_5,
-    "5.4.7": _rule_5_4_7,
-    "5.4.8": _rule_5_4_8,
-}
+@dataclass(frozen=True)
+class BoundRule:
+    name: str
+    kind: MatrixKind
+    shape: Callable[[ProblemInstance], bool]
+    char_zero: bool
+    evaluate: Callable[[ProblemInstance, int], DegreeBoundsResult]
+
+
+# Ordered: the first matching rule covers the instance.
+BOUND_RULES = (
+    BoundRule("5.2.2", _ORD, lambda i: i.t == i.m, False, _rule_5_2_2),
+    BoundRule("5.2.6", _ORD, lambda i: i.m == i.n and i.t == i.n - 1, True, _rule_5_2_6),
+    BoundRule("5.2.4", _ORD, lambda i: i.t == 2, True, _rule_5_2_4),
+    BoundRule("5.2.8", _ORD, lambda i: 2 < i.t < i.m, True, _rule_5_2_8),
+    BoundRule("5.3.2", _SYM, lambda i: i.t == i.n - 1, False, _rule_5_3_2),
+    BoundRule("5.4.3", _ALT, lambda i: i.size == i.n - 1, False, _rule_5_4_3),
+    BoundRule("5.4.5", _ALT, lambda i: i.size == i.n - 2, True, _rule_5_4_5),
+    BoundRule("5.4.7", _ALT, lambda i: i.size == 4 < i.n - 2, True, _rule_5_4_7),
+    BoundRule("5.4.8", _ALT, lambda i: 4 < i.size < i.n - 2, True, _rule_5_4_8),
+)
+
+
+def select_bound_rule(inst: ProblemInstance) -> str | None:
+    """Which degree-bound criterion covers the instance; None when nothing
+    does.  Exactly one criterion (or None) per parameter tuple."""
+    rule = next(matching(BOUND_RULES, inst), None)
+    return None if rule is None else rule.name
 
 
 def degree_bounds(inst: ProblemInstance, k: int, *, hypotheses_attested: bool = False) -> DegreeBoundsResult:
@@ -537,19 +439,92 @@ def degree_bounds(inst: ProblemInstance, k: int, *, hypotheses_attested: bool = 
         )
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k!r}")
-    rule = select_bound_rule(inst)
+    rule = next(matching(BOUND_RULES, inst), None)
     if rule is None:
         raise NotApplicableError(
             f"no degree-bound criterion covers kind={inst.kind.value}, t={inst.t}, m={inst.m}, n={inst.n}"
         )
-    if rule in _CHAR_ZERO_RULES and inst.char != 0:
+    if rule.char_zero and inst.char != 0:
         raise CharacteristicError(
-            f"criterion {rule} requires characteristic zero, the instance has characteristic {inst.char}"
+            f"criterion {rule.name} requires characteristic zero, the instance has characteristic {inst.char}"
         )
-    return _RULES[rule](inst, k)
+    return rule.evaluate(inst, k)
 
 
 # -- classification -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConclusionRule:
+    """A classify conclusion, emitted when the shape fits and the
+    instance's specialization schedule (capped at d or not) holds."""
+
+    kind: MatrixKind
+    shape: Callable[[ProblemInstance], bool]
+    capped: bool
+    claim: str
+    source: str
+    detail: Callable[[ProblemInstance], str] | None = None
+
+
+def _maximal(i: ProblemInstance) -> bool:
+    return i.t == i.m
+
+
+def _almost_square(i: ProblemInstance) -> bool:
+    return i.t == i.m and i.n == i.m + 1
+
+
+def _submax_pf(i: ProblemInstance) -> bool:
+    return i.size == i.n - 1
+
+
+def _char0_3xn_t2(i: ProblemInstance) -> bool:
+    return i.char == 0 and i.m == 3 and i.t == 2
+
+
+def _cor_5_2_7(i: ProblemInstance) -> bool:
+    return _char0_3xn_t2(i) and i.n == 3 and i.delta == 1
+
+
+def _cor_5_4_6(i: ProblemInstance) -> bool:
+    return i.char == 0 and i.n == 6 and i.size == 4 and i.delta == 1
+
+
+def _vanish_below(shift: int) -> Callable[[ProblemInstance], str]:
+    return lambda i: f"defining relations vanish in degrees k <= {i.d - shift}"
+
+
+_ANNIHILATES, _VANISH = MAXIMAL_IDEAL_ANNIHILATES, LOW_POWER_RELATIONS_VANISH
+
+# In emission order.
+CONCLUSION_RULES = (
+    ConclusionRule(_ORD, _almost_square, False, LINEAR_TYPE, "Cor 4.8i"),
+    ConclusionRule(_ORD, lambda i: i.m == i.n and i.t == i.n - 1, False, LINEAR_TYPE, "Cor 4.8ii"),
+    ConclusionRule(_ORD, _maximal, False, FIBER_TYPE, "Cor 4.8vi"),
+    ConclusionRule(_ORD, _char0_3xn_t2, False, FIBER_TYPE, "Cor 4.8vii"),
+    ConclusionRule(_ORD, lambda i: _maximal(i) and i.delta == 1, True, FIBER_TYPE, "Cor 5.2.3a"),
+    ConclusionRule(_ORD, lambda i: _almost_square(i) and i.d > i.m, True, LINEAR_TYPE, "Cor 5.2.3b"),
+    ConclusionRule(_ORD, lambda i: _almost_square(i) and i.d <= i.m and i.delta == 1, True, _ANNIHILATES, "Cor 5.2.3c"),
+    ConclusionRule(
+        _ORD, lambda i: _maximal(i) and i.n >= i.m + 2 and i.d > i.m * (i.n - i.m) + 1, True, FIBER_TYPE, "Cor 5.2.3d"
+    ),
+    ConclusionRule(_ORD, lambda i: _char0_3xn_t2(i) and i.delta == 1, True, FIBER_TYPE, "Cor 5.2.5"),
+    ConclusionRule(_ORD, _cor_5_2_7, True, FIBER_TYPE, "Cor 5.2.7"),
+    ConclusionRule(_ORD, _cor_5_2_7, True, _ANNIHILATES, "Cor 5.2.7"),
+    ConclusionRule(_SYM, lambda i: i.t == i.n - 1, False, LINEAR_TYPE, "Cor 4.8iii"),
+    ConclusionRule(_ALT, _submax_pf, False, LINEAR_TYPE, "Cor 4.8iv"),
+    ConclusionRule(_ALT, lambda i: _submax_pf(i) and i.d >= i.n, True, LINEAR_TYPE, "Cor 5.4.4a"),
+    ConclusionRule(_ALT, lambda i: _submax_pf(i) and i.delta == 1, True, FIBER_TYPE, "Cor 5.4.4b"),
+    ConclusionRule(_ALT, lambda i: _submax_pf(i) and i.d >= 3, True, _VANISH, "Cor 5.4.4c", _vanish_below(2)),
+    ConclusionRule(
+        _ALT, lambda i: _submax_pf(i) and i.d % 2 == 1 and i.d >= 3, True, _VANISH, "Cor 5.4.4d", _vanish_below(1)
+    ),
+    ConclusionRule(_ALT, lambda i: _submax_pf(i) and i.d % 2 == 1 and i.delta == 1, True, _ANNIHILATES, "Cor 5.4.4e"),
+    ConclusionRule(_ALT, lambda i: i.size == i.n - 2 and i.char != 2, False, LINEAR_TYPE, "Cor 4.8v"),
+    ConclusionRule(_ALT, _cor_5_4_6, True, FIBER_TYPE, "Cor 5.4.6"),
+    ConclusionRule(_ALT, _cor_5_4_6, True, _ANNIHILATES, "Cor 5.4.6"),
+)
 
 
 def classify(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> ClassificationReport:
@@ -557,71 +532,20 @@ def classify(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> Cla
 
     For alternating matrices t is half the Pfaffian size.  A matrix whose
     main ideal is not of generic height matches nothing (empty report).
+    Each schedule (uncapped, capped) is checked at most once, lazily, and
+    stops at its first failing level.
     """
     inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
-    m, n, d, delta, char = inst.m, inst.n, inst.d, inst.delta, inst.char
-
-    size = 2 * t if inst.kind is MatrixKind.ALTERNATING else t
-    if not cache.generic_report(size).ok:
+    if not cache.generic_report(t).ok:
         return ClassificationReport(())
-
-    conclusions: list[Conclusion] = []
-
-    def emit(claim: str, source: str, detail: str | None = None):
-        conclusions.append(Conclusion(claim=claim, source=source, hypotheses_verified=True, detail=detail))
-
-    def heights_ok(pairs) -> bool:
-        return all(cache.lower_height(j) >= req for j, req in pairs)
-
-    if inst.kind is MatrixKind.ORDINARY:
-        if n == m + 1 and t == m and heights_ok((j, m - j + 2) for j in range(1, m)):
-            emit(LINEAR_TYPE, "Cor 4.8i")
-        if m == n and t == n - 1 and heights_ok((j, (n - j + 1) ** 2) for j in range(1, n - 1)):
-            emit(LINEAR_TYPE, "Cor 4.8ii")
-        if t == m and heights_ok((j, (m - j + 1) * (n - m) + 1) for j in range(1, m)):
-            emit(FIBER_TYPE, "Cor 4.8vi")
-        if char == 0 and m == 3 and t == 2 and cache.lower_height(1) >= 3 * n:
-            emit(FIBER_TYPE, "Cor 4.8vii")
-        if t == m and heights_ok((j, min((m - j + 1) * (n - m) + 1, d)) for j in range(1, m)):
-            if delta == 1:
-                emit(FIBER_TYPE, "Cor 5.2.3a")
-            if n == m + 1 and d > m:
-                emit(LINEAR_TYPE, "Cor 5.2.3b")
-            if n == m + 1 and d <= m and delta == 1:
-                emit(MAXIMAL_IDEAL_ANNIHILATES, "Cor 5.2.3c")
-            if n >= m + 2 and d > m * (n - m) + 1:
-                emit(FIBER_TYPE, "Cor 5.2.3d")
-        if char == 0 and m == 3 and t == 2 and delta == 1 and cache.lower_height(1) >= min(3 * n, d):
-            emit(FIBER_TYPE, "Cor 5.2.5")
-        if char == 0 and m == n == 3 and t == 2 and delta == 1 and cache.lower_height(1) >= min(9, d):
-            emit(FIBER_TYPE, "Cor 5.2.7")
-            emit(MAXIMAL_IDEAL_ANNIHILATES, "Cor 5.2.7")
-    elif inst.kind is MatrixKind.SYMMETRIC:
-        if t == n - 1 and heights_ok((j, comb(n - j + 2, 2)) for j in range(1, n - 1)):
-            emit(LINEAR_TYPE, "Cor 4.8iii")
-    else:
-        two_t = 2 * t
-        submax_js = range(1, (n - 3) // 2 + 1)
-        if n % 2 == 1 and n >= 3 and two_t == n - 1:
-            if heights_ok((j, n - 2 * j + 2) for j in submax_js):
-                emit(LINEAR_TYPE, "Cor 4.8iv")
-            if heights_ok((j, min(n - 2 * j + 2, d)) for j in submax_js):
-                if d >= n:
-                    emit(LINEAR_TYPE, "Cor 5.4.4a")
-                if delta == 1:
-                    emit(FIBER_TYPE, "Cor 5.4.4b")
-                if d >= 3:
-                    emit(LOW_POWER_RELATIONS_VANISH, "Cor 5.4.4c", detail=f"defining relations vanish in degrees k <= {d - 2}")
-                if d % 2 == 1 and d >= 3:
-                    emit(LOW_POWER_RELATIONS_VANISH, "Cor 5.4.4d", detail=f"defining relations vanish in degrees k <= {d - 1}")
-                if d % 2 == 1 and delta == 1:
-                    emit(MAXIMAL_IDEAL_ANNIHILATES, "Cor 5.4.4e")
-        if char != 2 and n % 2 == 0 and n >= 4 and two_t == n - 2:
-            if heights_ok((j, comb(n - 2 * j + 2, 2)) for j in range(1, (n - 4) // 2 + 1)):
-                emit(LINEAR_TYPE, "Cor 4.8v")
-        if char == 0 and n == 6 and two_t == 4 and delta == 1 and cache.lower_height(1) >= min(15, d):
-            emit(FIBER_TYPE, "Cor 5.4.6")
-            emit(MAXIMAL_IDEAL_ANNIHILATES, "Cor 5.4.6")
-
+    holds: dict[bool, bool] = {}
+    conclusions = []
+    for rule in matching(CONCLUSION_RULES, inst):
+        if rule.capped not in holds:
+            schedule = specialization_case(inst).schedule(inst, rule.capped)
+            holds[rule.capped] = all(cache.lower_height(j) >= required for j, required in schedule)
+        if holds[rule.capped]:
+            detail = rule.detail(inst) if rule.detail else None
+            conclusions.append(Conclusion(rule.claim, rule.source, hypotheses_verified=True, detail=detail))
     return ClassificationReport(tuple(conclusions))

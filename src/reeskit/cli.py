@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import bounds as bounds_mod
 from . import groebner, gs, matrixalg
@@ -30,26 +31,29 @@ from .poly import FieldSpec, MonomialOrder, PolyRing, parse_poly
 _ANALYSES = ("height", "gs", "specialize", "bounds", "classify", "forms")
 _FILE_ANALYSES = ("height", "gs", "specialize", "bounds", "classify")
 
-_GENERIC_HEIGHT_SOURCES = {
-    MatrixKind.ORDINARY: "Notation 2.1a",
-    MatrixKind.SYMMETRIC: "Notation 2.1b",
-    MatrixKind.ALTERNATING: "Notation 2.1c",
+
+class _KindSources(NamedTuple):
+    """Labels a report cites for each matrix kind."""
+
+    generic_height: str
+    gs_threshold: str
+    max_gs: str
+    min_generators: str
+
+
+_KIND_SOURCES = {
+    MatrixKind.ORDINARY: _KindSources("Notation 2.1a", "Prop 3.2a", "Cor 3.3", "Lemma 4.4a"),
+    MatrixKind.SYMMETRIC: _KindSources("Notation 2.1b", "Prop 3.2b", "Cor 3.4", "Lemma 4.4b"),
+    MatrixKind.ALTERNATING: _KindSources("Notation 2.1c", "Prop 3.2c", "Cor 3.5", "Lemma 4.4c"),
 }
-_THRESHOLD_SOURCES = {
-    MatrixKind.ORDINARY: "Prop 3.2a",
-    MatrixKind.SYMMETRIC: "Prop 3.2b",
-    MatrixKind.ALTERNATING: "Prop 3.2c",
-}
-_MAX_GS_SOURCES = {
-    MatrixKind.ORDINARY: "Cor 3.3",
-    MatrixKind.SYMMETRIC: "Cor 3.4",
-    MatrixKind.ALTERNATING: "Cor 3.5",
-}
-_MIN_GENS_SOURCES = {
-    MatrixKind.ORDINARY: "Lemma 4.4a",
-    MatrixKind.SYMMETRIC: "Lemma 4.4b",
-    MatrixKind.ALTERNATING: "Lemma 4.4c",
-}
+
+# Forms-section flags of GenericStatus with their report titles.
+_STATUS_FLAGS = (
+    ("linear_type", "linear type"),
+    ("fiber_type", "fiber type"),
+    ("td_finite_all_k", "td finite for all k"),
+    ("td_infinite_some_k", "td infinite for some k"),
+)
 
 DEFAULT_FIELD = FieldSpec.prime(32003)
 
@@ -252,21 +256,15 @@ def build_matrix(pf: ProblemFile, field: FieldSpec, order: MonomialOrder) -> Pol
 
 
 def _height_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> dict:
-    size = 2 * t if M.kind is MatrixKind.ALTERNATING else t
-    if M.kind is MatrixKind.ALTERNATING:
-        ideal_name = f"pfaffians({size})"
-        count = len(matrixalg.enumerate_pfaffians(M, size)) if 2 <= size <= M.n else 0
-    else:
-        ideal_name = f"minors({size})"
-        count = len(matrixalg.enumerate_minors(M, size)) if 1 <= size <= min(M.m, M.n) else 0
-    report = cache.generic_report(size)
+    report = cache.generic_report(t)
+    family, size = cache.ideal_at(M.kind, t)
     return {
         "analysis": "height",
-        "ideal": ideal_name,
-        "generators": count,
+        "ideal": f"{family}({size})",
+        "generators": cache.generator_counts[family, size],
         "height": _ext(report.actual),
         "expected_generic": report.expected,
-        "expected_source": _GENERIC_HEIGHT_SOURCES[M.kind],
+        "expected_source": _KIND_SOURCES[M.kind].generic_height,
         "generic": report.ok,
     }
 
@@ -277,7 +275,7 @@ def _gs_section(M: PolyMatrix, t: int, s, cache: groebner.LowerIdealCache) -> di
     return {
         "analysis": "gs",
         "s": _ext(s_value),
-        "threshold_source": _THRESHOLD_SOURCES[M.kind],
+        "threshold_source": _KIND_SOURCES[M.kind].gs_threshold,
         "rows": [
             {
                 "j": r.j,
@@ -293,15 +291,18 @@ def _gs_section(M: PolyMatrix, t: int, s, cache: groebner.LowerIdealCache) -> di
     }
 
 
+def _hypothesis_rows(report: bounds_mod.HypothesisReport) -> list[dict]:
+    return [
+        {"j": r.j, "required": r.required, "height": _ext(r.actual), "satisfied": r.satisfied} for r in report.per_j
+    ]
+
+
 def _specialize_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> dict:
     result = bounds_mod.specialization_check(M, t, cache=cache)
     return {
         "analysis": "specialize",
         "source": result.source,
-        "rows": [
-            {"j": r.j, "required": r.required, "height": _ext(r.actual), "satisfied": r.satisfied}
-            for r in result.report.per_j
-        ],
+        "rows": _hypothesis_rows(result.report),
         "specializes": result.specializes,
         "cohen_macaulay": result.cohen_macaulay,
     }
@@ -324,14 +325,7 @@ def _bounds_section(M: PolyMatrix, t: int, k_range: tuple[int, int], cache: groe
     hyp = bounds_mod.hypothesis_check(M, t, "bounds", cache=cache)
     section: dict = {
         "analysis": "bounds",
-        "hypotheses": {
-            "source": hyp.source,
-            "rows": [
-                {"j": r.j, "required": r.required, "height": _ext(r.actual), "satisfied": r.satisfied}
-                for r in hyp.per_j
-            ],
-            "satisfied": hyp.all_satisfied,
-        },
+        "hypotheses": {"source": hyp.source, "rows": _hypothesis_rows(hyp), "satisfied": hyp.all_satisfied},
     }
     if not hyp.all_satisfied:
         failing = next(r for r in hyp.per_j if not r.satisfied)
@@ -373,21 +367,18 @@ def _classify_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) ->
 
 def _forms_section(inst: ProblemInstance) -> dict:
     status = bounds_mod.generic_status(inst)
-    section = {
+    return {
         "analysis": "forms",
         "max_gs": _ext(gs.max_Gs_generic(inst)),
-        "max_gs_source": _MAX_GS_SOURCES[inst.kind],
+        "max_gs_source": _KIND_SOURCES[inst.kind].max_gs,
         "min_generators": gs.min_gens_generic(inst),
-        "min_generators_source": _MIN_GENS_SOURCES[inst.kind],
+        "min_generators_source": _KIND_SOURCES[inst.kind].min_generators,
         "status": {
-            "linear_type": status.linear_type,
-            "fiber_type": status.fiber_type,
-            "td_finite_all_k": status.td_finite_all_k,
-            "td_infinite_some_k": status.td_infinite_some_k,
+            **{flag: getattr(status, flag) for flag, _ in _STATUS_FLAGS},
+            "flag_sources": status.flag_sources,
             "sources": list(status.sources),
         },
     }
-    return section
 
 
 def _pfaffian_section(M: PolyMatrix) -> dict:
@@ -397,8 +388,12 @@ def _pfaffian_section(M: PolyMatrix) -> dict:
 # -- text rendering -----------------------------------------------------------
 
 
-def _flag(value: bool | None) -> str:
-    return "no statement" if value is None else ("yes" if value else "no")
+def _hypothesis_lines(prefix: str, rows: list[dict], source: str) -> list[str]:
+    return [
+        f"  {prefix}j = {row['j']}: height = {row['height']}, required >= {row['required']} "
+        f"[{source}] -> {'ok' if row['satisfied'] else 'FAIL'}"
+        for row in rows
+    ]
 
 
 def render_text(report: dict) -> str:
@@ -432,23 +427,13 @@ def render_text(report: dict) -> str:
             lines.append(f"  G_s holds at requested s: {'yes' if section['satisfied'] else 'no'}")
         elif kind == "specialize":
             lines.append("specialize")
-            for row in section["rows"]:
-                verdict = "ok" if row["satisfied"] else "FAIL"
-                lines.append(
-                    f"  j = {row['j']}: height = {row['height']}, required >= {row['required']} "
-                    f"[{section['source']}] -> {verdict}"
-                )
+            lines.extend(_hypothesis_lines("", section["rows"], section["source"]))
             lines.append(f"  Rees algebra specializes: {'yes' if section['specializes'] else 'no'} [{section['source']}]")
             lines.append(f"  Cohen-Macaulay: {section['cohen_macaulay']} [{section['source']}]")
         elif kind == "bounds":
             lines.append("bounds")
             hyp = section["hypotheses"]
-            for row in hyp["rows"]:
-                verdict = "ok" if row["satisfied"] else "FAIL"
-                lines.append(
-                    f"  hypothesis j = {row['j']}: height = {row['height']}, required >= {row['required']} "
-                    f"[{hyp['source']}] -> {verdict}"
-                )
+            lines.extend(_hypothesis_lines("hypothesis ", hyp["rows"], hyp["source"]))
             lines.append(f"  hypotheses satisfied: {'yes' if hyp['satisfied'] else 'no'} [{hyp['source']}]")
             for row in section["rows"]:
                 if not row["applicable"]:
@@ -476,11 +461,12 @@ def render_text(report: dict) -> str:
             lines.append(f"  max s with G_s = {section['max_gs']} [{section['max_gs_source']}]")
             lines.append(f"  min generators = {section['min_generators']} [{section['min_generators_source']}]")
             status = section["status"]
-            srcs = ", ".join(status["sources"]) if status["sources"] else "none"
-            lines.append(f"  linear type: {_flag(status['linear_type'])} [{srcs}]")
-            lines.append(f"  fiber type: {_flag(status['fiber_type'])} [{srcs}]")
-            lines.append(f"  td finite for all k: {_flag(status['td_finite_all_k'])} [{srcs}]")
-            lines.append(f"  td infinite for some k: {_flag(status['td_infinite_some_k'])} [{srcs}]")
+            for flag, title in _STATUS_FLAGS:
+                value = status[flag]
+                if value is None:
+                    lines.append(f"  {title}: no statement")
+                else:
+                    lines.append(f"  {title}: {'yes' if value else 'no'} [{status['flag_sources'][flag]}]")
         elif kind == "pfaffian":
             lines.append("pfaffian")
             lines.append(f"  Pf = {section['pfaffian']}")

@@ -14,8 +14,9 @@ which is valid because passing to the leading-term ideal is a flat
 degeneration over a polynomial ring.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
-runs can be bounded with `time_limit`; the deadline is checked in the main
-loop and reductions, and expiry raises ComputationTimeout.
+runs can be bounded with `time_limit`; the deadline is checked in the
+Buchberger main loop, in reductions and in the dimension search, and expiry
+raises ComputationTimeout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from heapq import heappop, heappush
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import ComputationTimeout, DomainError, KindShapeError, RingMismatchError
+from .errors import ComputationTimeout, DomainError, GenericHeightError, KindShapeError, RingMismatchError
 from .matrixalg import MatrixKind, PolyMatrix, enumerate_minors, enumerate_pfaffians
 from .poly import (
     Monomial,
@@ -266,6 +267,10 @@ def _reduce_basis(basis: list[Polynomial], ring: PolyRing, ops, kf) -> tuple[Pol
 # -- dimension and height ----------------------------------------------------
 
 
+# The dimension search reads the clock once per this many expanded nodes.
+_DEADLINE_EVERY_NODES = 256
+
+
 def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     """Krull dimension of the quotient by the monomial ideal.
 
@@ -288,14 +293,18 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
             minimal.append(s)
 
     best = nvars + 1
+    expanded = 0
 
     def search(uncovered: list[frozenset[int]], chosen: int):
-        nonlocal best
+        nonlocal best, expanded
         if chosen >= best:
             return
         if not uncovered:
             best = chosen
             return
+        expanded += 1
+        if expanded % _DEADLINE_EVERY_NODES == 0:
+            _check_deadline()
         pivot = min(uncovered, key=len)
         for v in sorted(pivot):
             rest = [s for s in uncovered if v not in s]
@@ -449,44 +458,64 @@ def is_generic_height(M: PolyMatrix, t: int) -> GenericHeightReport:
 
     For alternating matrices `t` is the even Pfaffian size.
     """
-    expected = expected_generic_height(M.kind, M.m, M.n, t)
-    if M.kind is MatrixKind.ALTERNATING:
-        actual = ideal_of_pfaffians(M, t).height()
-    else:
-        actual = ideal_of_minors(M, t).height()
-    return GenericHeightReport(actual == expected, actual, expected, M.kind, t)
+    family = "pfaffians" if M.kind is MatrixKind.ALTERNATING else "minors"
+    return LowerIdealCache(M)._generic_report(family, t)
 
 
 class LowerIdealCache:
-    """Per-matrix memo for ideal heights and genericity reports.
+    """Per-matrix memo of ideal heights and generator counts.
 
     Lets one analysis run (G_s check, specialization, bounds, classify)
-    share its Groebner work instead of recomputing each lower ideal.
+    share its Groebner work instead of recomputing each lower ideal.  It is
+    the one place that maps a level to its ideal (`ideal_at`) and that
+    checks the catalog's generic-height precondition (`require_generic`).
     """
 
     def __init__(self, M: PolyMatrix):
         self.M = M
         self._minor: dict[int, object] = {}
         self._pf: dict[int, object] = {}
-        self._generic: dict[int, GenericHeightReport] = {}
+        # (family, size) -> number of minors or Pfaffians of each ideal built.
+        self.generator_counts: dict[tuple[str, int], int] = {}
+
+    @staticmethod
+    def ideal_at(kind, t: int) -> tuple[str, int]:
+        """(family, size) of the level-t ideal: t x t minors, or 2t x 2t
+        Pfaffians of an alternating matrix."""
+        return ("pfaffians", 2 * t) if MatrixKind(kind) is MatrixKind.ALTERNATING else ("minors", t)
+
+    def _height(self, family: str, size: int):
+        heights = self._pf if family == "pfaffians" else self._minor
+        if size not in heights:
+            ideal = (ideal_of_pfaffians if family == "pfaffians" else ideal_of_minors)(self.M, size)
+            self.generator_counts[family, size] = len(ideal.generators)
+            heights[size] = ideal.height()
+        return heights[size]
 
     def minor_height(self, j: int):
-        if j not in self._minor:
-            self._minor[j] = ideal_of_minors(self.M, j).height()
-        return self._minor[j]
+        return self._height("minors", j)
 
     def pfaffian_height(self, two_j: int):
-        if two_j not in self._pf:
-            self._pf[two_j] = ideal_of_pfaffians(self.M, two_j).height()
-        return self._pf[two_j]
+        return self._height("pfaffians", two_j)
 
     def lower_height(self, j: int):
-        """Height of the level-j lower ideal in the kind's own family."""
-        if self.M.kind is MatrixKind.ALTERNATING:
-            return self.pfaffian_height(2 * j)
-        return self.minor_height(j)
+        """Height of the level-j ideal."""
+        family, size = self.ideal_at(self.M.kind, j)
+        return self.pfaffian_height(size) if family == "pfaffians" else self.minor_height(size)
 
-    def generic_report(self, size: int) -> GenericHeightReport:
-        if size not in self._generic:
-            self._generic[size] = is_generic_height(self.M, size)
-        return self._generic[size]
+    def _generic_report(self, family: str, size: int) -> GenericHeightReport:
+        M = self.M
+        expected = expected_generic_height(M.kind, M.m, M.n, size)
+        actual = self._height(family, size)
+        return GenericHeightReport(actual == expected, actual, expected, M.kind, size)
+
+    def generic_report(self, t: int) -> GenericHeightReport:
+        """Generic-height report of the level-t ideal."""
+        return self._generic_report(*self.ideal_at(self.M.kind, t))
+
+    def require_generic(self, t: int) -> None:
+        report = self.generic_report(t)
+        if not report.ok:
+            raise GenericHeightError(
+                f"the ideal is not of generic height: height {report.actual}, expected {report.expected}"
+            )

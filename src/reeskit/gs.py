@@ -8,6 +8,9 @@ heights with Groebner bases; `max_Gs_generic` is the independent closed
 form for generic matrices, including the one exceptional family
 (3 <= t = m, n = m+3) where the answer is 18.
 
+SPECIALIZATION_CASES holds the Prop 4.7 schedules of cases i-v (capped at d
+by Cor 5.1.4); `bounds` and `resolutions` take their case split from it.
+
 Convention: `t` counts minors for ordinary/symmetric matrices; for
 alternating matrices `t` is half the Pfaffian size (the ideal is Pf_{2t}).
 """
@@ -17,10 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
-from .errors import DomainError, GenericHeightError
-from .groebner import LowerIdealCache
+from .errors import DomainError, NotApplicableError
+from .groebner import LowerIdealCache, expected_generic_height
 from .matrixalg import MatrixKind, PolyMatrix
+
+_ORD, _SYM, _ALT = MatrixKind.ORDINARY, MatrixKind.SYMMETRIC, MatrixKind.ALTERNATING
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ class ProblemInstance:
             if self.m != self.n:
                 raise DomainError(f"{self.kind.value} instance must have m = n, got {self.m}x{self.n}")
         if self.kind is MatrixKind.ALTERNATING:
-            if not 1 <= self.t or not 2 * self.t <= self.n:
-                raise DomainError(f"need 2 <= 2t <= n, got 2t={2 * self.t}, n={self.n}")
+            if not 1 <= self.t or not self.size <= self.n:
+                raise DomainError(f"need 2 <= 2t <= n, got 2t={self.size}, n={self.n}")
         else:
             if not 1 <= self.t <= self.m <= self.n:
                 raise DomainError(f"need 1 <= t <= m <= n, got t={self.t}, m={self.m}, n={self.n}")
@@ -59,11 +65,20 @@ class ProblemInstance:
         if self.char < 0:
             raise DomainError(f"characteristic must be >= 0, got {self.char}")
 
+    def size_at(self, level: int) -> int:
+        """Size of the minors (of the Pfaffians, when alternating) at a level."""
+        return LowerIdealCache.ideal_at(self.kind, level)[1]
+
+    @property
+    def size(self) -> int:
+        """Size of the minors or Pfaffians generating the ideal."""
+        return self.size_at(self.t)
+
     @property
     def pfaffian_size(self) -> int:
         if self.kind is not MatrixKind.ALTERNATING:
             raise DomainError("pfaffian_size is only defined for alternating instances")
-        return 2 * self.t
+        return self.size
 
     @classmethod
     def from_matrix(cls, M: PolyMatrix, t: int) -> "ProblemInstance":
@@ -82,6 +97,64 @@ class ProblemInstance:
             delta=M.entry_degree,
             char=M.ring.field.characteristic,
         )
+
+
+def matching(rules, inst: ProblemInstance):
+    """The rules of a catalog table whose kind and shape fit, in table order."""
+    return (rule for rule in rules if rule.kind is inst.kind and rule.shape(inst))
+
+
+# -- specialization hypotheses (Prop 4.7, Cor 5.1.4) --------------------------
+
+
+@dataclass(frozen=True)
+class SpecializationCase:
+    """Case i..v of Prop 4.7, and of its version capped at d, Cor 5.1.4.
+
+    The hypothesis asks ht >= threshold(inst, j) of the level-j ideal for
+    1 <= j <= t-1; capped, each threshold becomes min{threshold, d}.
+    """
+
+    tag: str
+    kind: MatrixKind
+    shape: Callable[[ProblemInstance], bool]
+    threshold: Callable[[ProblemInstance, int], int]
+    cohen_macaulay: Callable[[ProblemInstance], bool]
+
+    def source(self, capped: bool) -> str:
+        return f"Cor 5.1.4{self.tag}" if capped else f"Prop 4.7{self.tag}"
+
+    def schedule(self, inst: ProblemInstance, capped: bool) -> list[tuple[int, int]]:
+        """(j, required height) pairs, j ascending."""
+        pairs = [(j, self.threshold(inst, j)) for j in range(1, inst.t)]
+        return [(j, min(theta, inst.d)) for j, theta in pairs] if capped else pairs
+
+
+def _generic_height_at(inst: ProblemInstance, j: int) -> int:
+    """Maximal height of the level-j ideal (Notation 2.1)."""
+    return expected_generic_height(inst.kind, inst.m, inst.n, inst.size_at(j))
+
+
+def _cm_in_char(inst: ProblemInstance) -> bool:
+    """char = 0 or char > min{s, m - s}, s the minor (ii) or Pfaffian (v) size."""
+    return inst.char == 0 or inst.char > min(inst.size, inst.m - inst.size)
+
+
+SPECIALIZATION_CASES = (
+    SpecializationCase("i", _ORD, lambda i: i.t == i.m, lambda i, j: (i.m - j + 1) * (i.n - i.m) + 1, lambda i: True),
+    SpecializationCase("ii", _ORD, lambda i: i.t < i.m, _generic_height_at, _cm_in_char),
+    SpecializationCase("iii", _SYM, lambda i: True, _generic_height_at, lambda i: False),
+    SpecializationCase("iv", _ALT, lambda i: i.size == i.n - 1, lambda i, j: i.n - i.size_at(j) + 2, lambda i: True),
+    SpecializationCase("v", _ALT, lambda i: i.size < i.n - 1, _generic_height_at, _cm_in_char),
+)
+
+
+def specialization_case(inst: ProblemInstance) -> SpecializationCase:
+    """The Prop 4.7 case covering the instance."""
+    case = next(matching(SPECIALIZATION_CASES, inst), None)
+    if case is None:
+        raise NotApplicableError("alternating 2t = n (a single Pfaffian) has no specialization criterion")
+    return case
 
 
 @dataclass(frozen=True)
@@ -120,7 +193,7 @@ def gs_threshold(inst: ProblemInstance, j: int) -> int:
         if num % (n - j + 2) != 0:
             raise AssertionError(f"threshold is not integral for {inst}, j={j}")
         return num // (n - j + 2)
-    return comb(n - 2 * j + 2, n - 2 * t)
+    return comb(n - inst.size_at(j) + 2, n - inst.size)
 
 
 def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> GsReport:
@@ -133,12 +206,7 @@ def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> 
         raise DomainError(f"s must be a positive integer or +inf, got {s!r}")
     inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
-    size = 2 * t if M.kind is MatrixKind.ALTERNATING else t
-    gh = cache.generic_report(size)
-    if not gh.ok:
-        raise GenericHeightError(
-            f"the ideal is not of generic height: height {gh.actual}, expected {gh.expected}"
-        )
+    cache.require_generic(t)
     rows = []
     for j in range(1, inst.t):
         theta = gs_threshold(inst, j)
@@ -176,9 +244,9 @@ def max_Gs_generic(inst: ProblemInstance):
         if t in (1, n - 1, n):
             return math.inf
         return comb(n - t + 3, 2)
-    if 2 * t in (2, n, n - 1, n - 2):
+    if inst.size in (2, n, n - 1, n - 2):
         return math.inf
-    return comb(n - 2 * t + 4, 2)
+    return comb(n - inst.size + 4, 2)
 
 
 def min_gens_generic(inst: ProblemInstance) -> int:
@@ -191,4 +259,4 @@ def min_gens_generic(inst: ProblemInstance) -> int:
         if num % (n + 1) != 0:
             raise AssertionError(f"generator count is not integral for {inst}")
         return num // (n + 1)
-    return comb(n, 2 * t)
+    return comb(n, inst.size)

@@ -374,13 +374,15 @@ def minor_selectors(m: int, n: int, t: int) -> list[tuple[tuple[int, ...], tuple
 
 
 def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
-    """All t x t minors, selector order lexicographic (rows outer)."""
+    """All t x t minors, selector order lexicographic (rows outer).
+
+    Symmetric matrices skip the selectors with rows > cols: that minor is
+    the transpose's determinant, equal to the (cols, rows) one.
+    """
     if not 1 <= t <= min(M.m, M.n):
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
-    out = []
-    for rows, cols in minor_selectors(M.m, M.n, t):
-        out.append(determinant(M.submatrix(rows, cols)))
-    return out
+    symmetric = M.kind is MatrixKind.SYMMETRIC
+    return [determinant(M.submatrix(r, c)) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:

@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CharacteristicError, DomainError, NotApplicableError
-from .gs import ProblemInstance
+from .gs import ProblemInstance, specialization_case
 from .matrixalg import MatrixKind
 
 NEG_INF = -math.inf
@@ -80,51 +80,36 @@ def ku_generation_degree(n: int, k: int, i: int):
     return NEG_INF
 
 
+# Lemma 4.3, by the Prop 4.7 case of the instance.
+_MAX_PDIM = {
+    "i": lambda i: i.m * (i.n - i.m),
+    "ii": lambda i: i.m * i.n - 1,
+    "iii": lambda i: math.comb(i.n + 1, 2) - 1,
+    "iv": lambda i: i.n - 1,
+    "v": lambda i: math.comb(i.n, 2) - 1,
+}
+
+
 def max_pdim_powers(inst: ProblemInstance) -> LabeledValue:
     """Maximum over k of the projective dimension of the k-th power of the
     generic ideal.  The two determinant-like cases (symmetric t = n,
     alternating 2t = n) are not covered and raise NotApplicableError."""
-    m, n, t = inst.m, inst.n, inst.t
-    if inst.kind is MatrixKind.ORDINARY:
-        if t == m:
-            return LabeledValue(m * (n - m), "Lemma 4.3i")
-        return LabeledValue(m * n - 1, "Lemma 4.3ii")
-    if inst.kind is MatrixKind.SYMMETRIC:
-        if t == n:
-            raise NotApplicableError("symmetric t = n (a single determinant) is not covered")
-        return LabeledValue(math.comb(n + 1, 2) - 1, "Lemma 4.3iii")
-    if 2 * t == n:
-        raise NotApplicableError("alternating 2t = n (a single Pfaffian) is not covered")
-    if 2 * t == n - 1:
-        return LabeledValue(n - 1, "Lemma 4.3iv")
-    return LabeledValue(math.comb(n, 2) - 1, "Lemma 4.3v")
+    if inst.kind is MatrixKind.SYMMETRIC and inst.t == inst.n:
+        raise NotApplicableError("symmetric t = n (a single determinant) is not covered")
+    case = specialization_case(inst)
+    return LabeledValue(_MAX_PDIM[case.tag](inst), f"Lemma 4.3{case.tag}")
 
 
 def sigma_threshold(inst: ProblemInstance, j: int) -> LabeledValue:
     """Homological position from which the level-j lower ideal is contained
-    in the radicals of the Fitting ideals of every power's resolution."""
-    m, n, t = inst.m, inst.n, inst.t
-    if inst.kind is MatrixKind.ORDINARY:
-        if t == m:
-            if not 1 <= j <= m - 1:
-                raise DomainError(f"need 1 <= j <= m-1 = {m - 1}, got {j}")
-            return LabeledValue((m - j) * (n - m) + 1, "Lemma 4.6i")
-        if not 1 <= j <= t - 1:
-            raise DomainError(f"need 1 <= j <= t-1 = {t - 1}, got {j}")
-        return LabeledValue((m - j) * (n - j), "Lemma 4.6ii")
-    if inst.kind is MatrixKind.SYMMETRIC:
-        if not 1 <= j <= t - 1:
-            raise DomainError(f"need 1 <= j <= t-1 = {t - 1}, got {j}")
-        return LabeledValue(math.comb(n - j + 1, 2), "Lemma 4.6iii")
-    if 2 * t == n:
-        raise NotApplicableError("alternating 2t = n is not covered")
-    if 2 * t == n - 1:
-        if not 2 <= 2 * j <= n - 3:
-            raise DomainError(f"need 2 <= 2j <= n-3 = {n - 3}, got 2j={2 * j}")
-        return LabeledValue(n - 2 * j, "Lemma 4.6iv")
-    if not 1 <= j <= t - 1:
-        raise DomainError(f"need 1 <= j <= t-1 = {t - 1}, got {j}")
-    return LabeledValue(math.comb(n - 2 * j, 2), "Lemma 4.6v")
+    in the radicals of the Fitting ideals of every power's resolution.
+
+    In each case it is the Prop 4.7 threshold of that case at level j+1.
+    """
+    case = specialization_case(inst)
+    if not 1 <= j <= inst.t - 1:
+        raise DomainError(f"need 1 <= j <= t-1 = {inst.t - 1}, got {j}")
+    return LabeledValue(case.threshold(inst, j + 1), f"Lemma 4.6{case.tag}")
 
 
 def regularity_power(inst: ProblemInstance, k: int) -> LabeledValue:

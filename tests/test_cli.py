@@ -258,6 +258,34 @@ class TestRun:
         out = capsys.readouterr().out
         assert "order lex" in out and "height = 2" in out
 
+    def test_height_section_counts_generators_once(self, capsys):
+        assert run(["generic", "--kind", "symmetric", "--n", "4", "--t", "3", "--analyses", "height"]) == 0
+        assert "  ideal minors(3), 10 generators\n" in capsys.readouterr().out  # Lemma 4.4b
+        assert run(["generic", "--kind", "alternating", "--n", "6", "--t", "2", "--analyses", "height"]) == 0
+        assert "  ideal pfaffians(4), 15 generators\n" in capsys.readouterr().out  # Lemma 4.4c
+
+    def test_forms_flags_cite_their_own_sources(self, capsys):
+        argv = ["generic", "--kind", "symmetric", "--n", "4", "--t", "3", "--analyses", "forms"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        assert "  linear type: yes [Prop 5.3.1c]\n" in out
+        assert "  fiber type: no statement\n" in out
+        assert "  td finite for all k: no statement\n" in out
+        assert "  td infinite for some k: no statement\n" in out
+        assert run(argv + ["--json"]) == 0
+        status = json.loads(capsys.readouterr().out)["analyses"][0]["status"]
+        assert (status["linear_type"], status["fiber_type"], status["td_finite_all_k"]) == (True, None, None)
+        assert status["flag_sources"] == {"linear_type": "Prop 5.3.1c"}
+        assert status["sources"] == ["Prop 5.3.1c"]
+
+    def test_forms_flags_from_two_sources(self, capsys):
+        assert run(["generic", "--kind", "ordinary", "--m", "3", "--n", "5", "--t", "3", "--analyses", "forms"]) == 0
+        out = capsys.readouterr().out
+        assert "  linear type: no [Prop 5.2.1c]\n" in out
+        assert "  fiber type: yes [Prop 5.2.1d]\n" in out
+        assert "  td finite for all k: no statement\n" in out
+        assert "  td infinite for some k: yes [Prop 5.2.1c]\n" in out
+
     def test_timeout_exits_2(self, capsys):
         code = run(["generic", "--kind", "symmetric", "--n", "4", "--t", "2", "--analyses", "height", "--timeout", "0"])
         err = capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from reeskit.errors import ComputationTimeout, DomainError
 from reeskit.groebner import (
     IdealHandle,
+    LowerIdealCache,
     buchberger,
     expected_generic_height,
     height,
@@ -299,3 +301,45 @@ class TestTimeout:
         except ComputationTimeout:
             pass
         assert set(buchberger([x, y])) == {x, y}
+
+    def test_time_limit_bounds_the_dimension_search(self):
+        # The edge ideal of the complete graph on 11 vertices: the search
+        # expands several times the 256 nodes between two clock reads.
+        n = 11
+        edges = []
+        for i, j in combinations(range(n), 2):
+            e = [0] * n
+            e[i] = e[j] = 1
+            edges.append(tuple(e))
+        assert monomial_ideal_dimension(edges, n) == 1
+        with pytest.raises(ComputationTimeout):
+            with time_limit(0.0):
+                time.sleep(0.001)
+                monomial_ideal_dimension(edges, n)
+
+
+class TestLowerIdealCache:
+    def test_level_names_the_ideal(self):
+        assert LowerIdealCache.ideal_at("ordinary", 3) == ("minors", 3)
+        assert LowerIdealCache.ideal_at("symmetric", 2) == ("minors", 2)
+        assert LowerIdealCache.ideal_at("alternating", 2) == ("pfaffians", 4)
+
+    def test_generic_report_takes_a_level_and_records_the_count(self):
+        M = generic_matrix(6, 6, "alternating", field=F32003)
+        cache = LowerIdealCache(M)
+        report = cache.generic_report(2)
+        assert (report.ok, report.actual, report.expected, report.t) == (True, 6, 6, 4)
+        assert cache.generator_counts == {("pfaffians", 4): 15}
+        # The main ideal's height is shared with the lower-height lookups.
+        assert cache.pfaffian_height(4) == 6
+        assert cache.generator_counts == {("pfaffians", 4): 15}
+
+    def test_require_generic(self):
+        from reeskit.errors import GenericHeightError
+        from reeskit.matrixalg import PolyMatrix
+
+        x = generic_matrix(2, 2, "ordinary", field=F32003).entry(0, 0)
+        cache = LowerIdealCache(PolyMatrix("ordinary", [[x, x, x], [x, x, x]]))
+        with pytest.raises(GenericHeightError, match="height 0, expected 2"):
+            cache.require_generic(2)
+        LowerIdealCache(generic_matrix(2, 3, "ordinary", field=F32003)).require_generic(2)

@@ -304,6 +304,19 @@ class TestEnumeration:
                 expected.append(determinant(M.submatrix(rows, cols)))
         assert minors == expected
 
+    def test_symmetric_matrix_skips_transposed_selectors(self):
+        M = generic_matrix(4, 4, "symmetric")
+        minors = enumerate_minors(M, 3)
+        expected = []
+        for rows in combinations(range(4), 3):
+            for cols in combinations(range(4), 3):
+                if rows <= cols:
+                    expected.append(determinant(M.submatrix(rows, cols)))
+        assert minors == expected
+        assert len(minors) == len(set(minors)) == 10
+        skipped = {determinant(M.submatrix(c, r)) for r in combinations(range(4), 3) for c in combinations(range(4), 3)}
+        assert skipped == set(minors)
+
     def test_pfaffian_counts(self):
         assert len(enumerate_pfaffians(generic_matrix(6, 6, "alternating"), 4)) == comb(6, 4)
         assert len(enumerate_pfaffians(generic_matrix(4, 4, "alternating"), 4)) == 1
