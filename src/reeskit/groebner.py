@@ -7,11 +7,22 @@ unique reduced Groebner basis of its ideal: no leading term divides
 another, every tail is fully reduced, and every element is monic.
 
 Krull dimension of a quotient by a monomial ideal is the size of the
-largest variable subset that contains no generator's support; the search is
-a branch-and-bound over hitting sets of the supports.  Height of an
-arbitrary ideal is nvars minus the dimension of its leading-term ideal,
-which is valid because passing to the leading-term ideal is a flat
-degeneration over a polynomial ring.
+largest variable subset that contains no generator's support, that is
+nvars minus the size of a smallest set of variables hitting every support
+(Kredel and Weispfenning, 1988).  The search keeps each support as an int
+bitmask, drops supports that contain another, and branches on the
+variables of a smallest uncovered support.  It prunes a node when the
+variables chosen so far plus a greedy count of pairwise-disjoint uncovered
+supports reach the best cover found.  Pairwise-disjoint supports share no
+variable, so each needs a cover variable of its own: the count is a lower
+bound on what any cover below the node still adds, and the search never
+prunes an optimum.  Height of an arbitrary ideal is nvars minus the
+dimension of its leading-term ideal, which is valid because passing to the
+leading-term ideal is a flat degeneration over a polynomial ring.
+
+An ideal of minors or Pfaffians is generated by those that are linearly
+independent, in selector order: the rest lie in their span and add nothing
+to the ideal.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit`; the deadline is checked in the
@@ -267,7 +278,8 @@ def _reduce_basis(basis: list[Polynomial], ring: PolyRing, ops, kf) -> tuple[Pol
 # -- dimension and height ----------------------------------------------------
 
 
-# The dimension search reads the clock once per this many expanded nodes.
+# The dimension search reads the clock on its first expanded node and once
+# per this many expanded nodes after it.
 _DEADLINE_EVERY_NODES = 256
 
 
@@ -278,37 +290,54 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     generator's support lies inside S; computed as nvars minus a minimum
     hitting set of the supports.  Returns nvars for the zero ideal and -1
     when a generator is constant (zero ring).
+
+    Supports are int bitmasks, bit i for variable i.  Every cover contains
+    a variable of each support, so branching on the variables of one
+    uncovered support misses no cover; the pruning bound and why it is
+    exact are in the module docstring.
     """
-    supports: list[frozenset[int]] = []
+    masks: set[int] = set()
     for m in monomials:
-        supports.append(frozenset(i for i, e in enumerate(m) if e > 0))
-    if not supports:
+        mask = 0
+        for i, e in enumerate(m):
+            if e > 0:
+                mask |= 1 << i
+        masks.add(mask)
+    if not masks:
         return nvars
-    if any(not s for s in supports):
+    if 0 in masks:
         return -1
-    # Drop supersets: hitting a minimal support hits its supersets.
-    minimal: list[frozenset[int]] = []
-    for s in sorted(set(supports), key=len):
-        if not any(t <= s for t in minimal):
+    # Drop supersets: hitting a minimal support hits its supersets.  The
+    # rest stay in ascending size, so the first uncovered one is smallest.
+    minimal: list[int] = []
+    for s in sorted(masks, key=lambda s: (s.bit_count(), s)):
+        if not any(t & s == t for t in minimal):
             minimal.append(s)
 
-    best = nvars + 1
+    # All variables hit every support, so nvars bounds the cover size.
+    best = nvars
     expanded = 0
 
-    def search(uncovered: list[frozenset[int]], chosen: int):
+    def search(uncovered: list[int], chosen: int):
         nonlocal best, expanded
-        if chosen >= best:
+        disjoint, used = 0, 0
+        for s in uncovered:
+            if not s & used:
+                used |= s
+                disjoint += 1
+        if chosen + disjoint >= best:
             return
         if not uncovered:
             best = chosen
             return
-        expanded += 1
         if expanded % _DEADLINE_EVERY_NODES == 0:
             _check_deadline()
-        pivot = min(uncovered, key=len)
-        for v in sorted(pivot):
-            rest = [s for s in uncovered if v not in s]
-            search(rest, chosen + 1)
+        expanded += 1
+        pivot = uncovered[0]
+        while pivot:
+            bit = pivot & -pivot
+            pivot ^= bit
+            search([s for s in uncovered if not s & bit], chosen + 1)
 
     search(minimal, 0)
     return nvars - best
@@ -396,13 +425,44 @@ def height(I: IdealHandle):
 # -- determinantal and Pfaffian ideals ---------------------------------------
 
 
+def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial]:
+    """The polynomials outside the span of those before them, in order.
+
+    Exact elimination over the ring's field: each kept polynomial is stored
+    as a row keyed by its largest monomial (tuple order; any fixed total
+    order on monomials serves), and a later one is dropped when clearing
+    those pivots from it leaves zero.  Each step cancels the row's largest
+    monomial and adds only smaller ones, so the reduction terminates.
+    """
+    ops = coefficient_ops(ring.field)
+    pivots: dict[Monomial, dict] = {}
+    kept = []
+    for p in polys:
+        row = dict(p.terms)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                kept.append(p)
+                break
+            factor = ops.div(row[lead], pivot[lead])
+            for m, c in pivot.items():
+                s = ops.sub(row[m], ops.mul(factor, c)) if m in row else ops.neg(ops.mul(factor, c))
+                if s == 0:
+                    row.pop(m, None)
+                else:
+                    row[m] = s
+    return kept
+
+
 def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     """I_t(M); the unit ideal for t <= 0 and the zero ideal for t > min(m, n)."""
     if t <= 0:
         return IdealHandle((M.ring.one(),))
     if t > min(M.m, M.n):
         return IdealHandle((), ring=M.ring)
-    return IdealHandle(enumerate_minors(M, t))
+    return IdealHandle(_independent(enumerate_minors(M, t), M.ring), ring=M.ring)
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -415,7 +475,7 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if two_t > M.n:
         return IdealHandle((), ring=M.ring)
-    return IdealHandle(enumerate_pfaffians(M, two_t))
+    return IdealHandle(_independent(enumerate_pfaffians(M, two_t), M.ring), ring=M.ring)
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:
@@ -475,7 +535,8 @@ class LowerIdealCache:
         self.M = M
         self._minor: dict[int, object] = {}
         self._pf: dict[int, object] = {}
-        # (family, size) -> number of minors or Pfaffians of each ideal built.
+        # (family, size) -> number of linearly independent minors or
+        # Pfaffians of each ideal built.
         self.generator_counts: dict[tuple[str, int], int] = {}
 
     @staticmethod
@@ -484,12 +545,17 @@ class LowerIdealCache:
         Pfaffians of an alternating matrix."""
         return ("pfaffians", 2 * t) if MatrixKind(kind) is MatrixKind.ALTERNATING else ("minors", t)
 
+    def build(self, family: str, size: int) -> IdealHandle:
+        """A new handle on the ideal of (family, size); records its count of
+        linearly independent generators."""
+        ideal = (ideal_of_pfaffians if family == "pfaffians" else ideal_of_minors)(self.M, size)
+        self.generator_counts[family, size] = len(ideal.generators)
+        return ideal
+
     def _height(self, family: str, size: int):
         heights = self._pf if family == "pfaffians" else self._minor
         if size not in heights:
-            ideal = (ideal_of_pfaffians if family == "pfaffians" else ideal_of_minors)(self.M, size)
-            self.generator_counts[family, size] = len(ideal.generators)
-            heights[size] = ideal.height()
+            heights[size] = self.build(family, size).height()
         return heights[size]
 
     def minor_height(self, j: int):

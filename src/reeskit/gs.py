@@ -174,7 +174,6 @@ class GsReport:
     otherwise the minimum height over the thresholds that fail.
     """
 
-    generic_height_ok: bool
     per_j: tuple[GsRow, ...]
     max_s: object  # int or math.inf
     requested_s: object
@@ -216,7 +215,6 @@ def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> 
     failing = [r.actual_height for r in rows if r.actual_height < r.threshold]
     max_s = min(failing) if failing else math.inf
     return GsReport(
-        generic_height_ok=True,
         per_j=tuple(rows),
         max_s=max_s,
         requested_s=s,

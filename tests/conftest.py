@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,20 @@ def random_poly(
     for _ in range(rng.randint(0 if allow_zero else 1, max_terms)):
         terms[random_monomial(rng, ring.nvars, max_exp)] = random_coeff(rng, ring.field)
     return Polynomial(ring, terms)
+
+
+def brute_force_dimension(monomials, nvars: int) -> int:
+    """Dimension of the quotient by a monomial ideal, by exhaustive search:
+    the largest variable subset containing no generator's support; -1 when
+    a generator is constant."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in monomials]
+    if any(not s for s in supports):
+        return -1
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            chosen = set(subset)
+            if all(not s <= chosen for s in supports):
+                return size
 
 
 @pytest.fixture

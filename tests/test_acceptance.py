@@ -9,7 +9,6 @@ import json
 import math
 import random
 import time
-from itertools import combinations
 from pathlib import Path
 
 from reeskit.bounds import (
@@ -42,7 +41,7 @@ from reeskit.matrixalg import (
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, format_poly, parse_poly
 from reeskit.resolutions import NEG_INF, abw_generation_degree, ku_generation_degree
 
-from conftest import random_monomial, random_poly
+from conftest import brute_force_dimension, random_monomial, random_poly
 
 F32003 = FieldSpec.prime(32003)
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -313,22 +312,13 @@ def test_criterion_9_property_suites():
             assert parse_poly(format_poly(p), ring) == p
 
     # Monomial-ideal dimension agrees with exhaustive subset search.
-    def brute_dimension(mons, nvars):
-        supports = [frozenset(i for i, e in enumerate(m) if e) for m in mons]
-        for size in range(nvars, -1, -1):
-            for subset in combinations(range(nvars), size):
-                sset = set(subset)
-                if all(not s <= sset for s in supports):
-                    return size
-        return -1
-
     for _ in range(150):
         nvars = rng.randint(1, 8)
         mons = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(rng.randint(1, 6))]
         mons = [m for m in mons if any(m)]
         if not mons:
             continue
-        assert monomial_ideal_dimension(mons, nvars) == brute_dimension(mons, nvars)
+        assert monomial_ideal_dimension(mons, nvars) == brute_force_dimension(mons, nvars)
 
     # Buchberger: S-polynomials of basis pairs and original generators
     # all reduce to zero.

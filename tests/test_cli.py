@@ -264,6 +264,13 @@ class TestRun:
         assert run(["generic", "--kind", "alternating", "--n", "6", "--t", "2", "--analyses", "height"]) == 0
         assert "  ideal pfaffians(4), 15 generators\n" in capsys.readouterr().out  # Lemma 4.4c
 
+    def test_height_section_counts_independent_minors(self, capsys):
+        # 21 distinct 2x2 minors of a symmetric 4x4 matrix span 20 dimensions.
+        assert run(["generic", "--kind", "symmetric", "--n", "4", "--t", "2", "--analyses", "height,forms"]) == 0
+        out = capsys.readouterr().out
+        assert "  ideal minors(2), 20 generators\n" in out
+        assert "  min generators = 20 [Lemma 4.4b]\n" in out
+
     def test_forms_flags_cite_their_own_sources(self, capsys):
         argv = ["generic", "--kind", "symmetric", "--n", "4", "--t", "3", "--analyses", "forms"]
         assert run(argv) == 0

@@ -20,10 +20,11 @@ from reeskit.groebner import (
     spoly,
     time_limit,
 )
+from reeskit.gs import ProblemInstance, min_gens_generic
 from reeskit.matrixalg import generic_matrix
 from reeskit.poly import FieldSpec, PolyRing, parse_poly
 
-from conftest import random_poly
+from conftest import brute_force_dimension, random_poly
 
 F32003 = FieldSpec.prime(32003)
 
@@ -155,19 +156,6 @@ class TestMonomialDimension:
 
     def test_brute_force_agreement(self):
         rng = random.Random(31337)
-
-        def brute(mons, nvars):
-            supports = [frozenset(i for i, e in enumerate(m) if e) for m in mons]
-            if any(not s for s in supports):
-                return -1
-            best = -1
-            for size in range(nvars, -1, -1):
-                for subset in combinations(range(nvars), size):
-                    sset = set(subset)
-                    if all(not s <= sset for s in supports):
-                        return size
-            return best
-
         for _ in range(200):
             nvars = rng.randint(1, 8)
             mons = [
@@ -177,7 +165,37 @@ class TestMonomialDimension:
             mons = [m for m in mons if any(m)]
             if not mons:
                 continue
-            assert monomial_ideal_dimension(mons, nvars) == brute(mons, nvars)
+            assert monomial_ideal_dimension(mons, nvars) == brute_force_dimension(mons, nvars)
+
+    def test_constant_generator_gives_the_zero_ring(self):
+        assert monomial_ideal_dimension([(0, 0, 0), (1, 0, 0)], 3) == -1
+
+    # Edge ideals, beyond the reach of brute force: the quotient by the
+    # ideal of a graph's edges has dimension the graph's independence
+    # number.
+
+    @staticmethod
+    def edge_ideal(nvars, edges):
+        mons = []
+        for i, j in edges:
+            e = [0] * nvars
+            e[i] = e[j] = 1
+            mons.append(tuple(e))
+        return mons
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_complete_graph(self, n):
+        assert monomial_ideal_dimension(self.edge_ideal(n, combinations(range(n), 2)), n) == 1
+
+    @pytest.mark.parametrize("n", range(3, 15))
+    def test_cycle(self, n):
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        assert monomial_ideal_dimension(self.edge_ideal(n, edges), n) == n // 2
+
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 13), (2, 5), (3, 3), (4, 9), (6, 7), (7, 7)])
+    def test_complete_bipartite_graph(self, a, b):
+        edges = [(i, a + j) for i in range(a) for j in range(b)]
+        assert monomial_ideal_dimension(self.edge_ideal(a + b, edges), a + b) == max(a, b)
 
 
 class TestHeight:
@@ -208,6 +226,14 @@ class TestHeight:
     def test_symmetric_3x3(self):
         M = generic_matrix(3, 3, "symmetric", field=F32003)
         assert height(ideal_of_minors(M, 2)) == 3
+
+    def test_generic_5x6_minors_and_9x9_pfaffians(self):
+        # The dimension search's largest cases in the benchmark: 30 and 36
+        # variables, heights (5-1)(6-1) and C(9-4+2, 2).
+        M = generic_matrix(5, 6, "ordinary", field=F32003)
+        assert ideal_of_minors(M, 2).height() == 20
+        A = generic_matrix(9, 9, "alternating", field=F32003)
+        assert ideal_of_pfaffians(A, 4).height() == 21
 
     def test_height_is_order_independent(self):
         from reeskit.poly import MonomialOrder
@@ -319,6 +345,26 @@ class TestTimeout:
 
 
 class TestLowerIdealCache:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_generator_counts_match_lemma_4_4b(self, n):
+        # Distinct symmetric minors are linearly dependent for 2 <= t <= n-2;
+        # only the independent ones are counted and kept.
+        M = generic_matrix(n, n, "symmetric", field=F32003)
+        for t in range(1, n + 1):
+            cache = LowerIdealCache(M)
+            cache.build(*cache.ideal_at("symmetric", t))
+            inst = ProblemInstance("symmetric", n, n, t, M.ring.nvars, 1, 32003)
+            assert cache.generator_counts == {("minors", t): min_gens_generic(inst)}
+
+    def test_dependent_and_zero_generators_are_dropped(self, qq_xy):
+        from reeskit.matrixalg import PolyMatrix
+
+        x, y = qq_xy.gens()
+        # Minors in selector order: x^2 - y^2, 0, y^2 - x^2.
+        M = PolyMatrix("ordinary", [[x, y, x], [y, x, y]])
+        assert ideal_of_minors(M, 2).generators == (x * x - y * y,)
+        assert ideal_of_minors(PolyMatrix("ordinary", [[x, x], [x, x]]), 2).generators == ()
+
     def test_level_names_the_ideal(self):
         assert LowerIdealCache.ideal_at("ordinary", 3) == ("minors", 3)
         assert LowerIdealCache.ideal_at("symmetric", 2) == ("minors", 2)

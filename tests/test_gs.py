@@ -123,11 +123,18 @@ class TestCheckGs:
     def test_2x3_maximal_is_g_infinity(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
         report = check_Gs(M, 2, math.inf)
-        assert report.generic_height_ok
         assert report.max_s == math.inf
         assert report.satisfied
         (row,) = report.per_j
         assert (row.j, row.threshold, row.actual_height) == (1, 3, 6)
+
+    def test_non_generic_height_raises_instead_of_reporting(self):
+        # A repeated column leaves I_2 = (ad - bc), of height 1, not 2.
+        G = generic_matrix(2, 2, "ordinary", field=F32003)
+        (a, b), (c, d) = G.rows
+        M = PolyMatrix("ordinary", [[a, b, a], [c, d, c]])
+        with pytest.raises(GenericHeightError, match="height 1, expected 2"):
+            check_Gs(M, 2, math.inf)
 
     def test_symmetric_4x4_submaximal(self):
         M = generic_matrix(4, 4, "symmetric", field=F32003)
