@@ -6,6 +6,47 @@ selection, followed by inter-reduction, so every returned basis is the
 unique reduced Groebner basis of its ideal: no leading term divides
 another, every tail is fully reduced, and every element is monic.
 
+Inside this module a monomial is a Python int (`MonomialPacking`), and a
+polynomial is a dict from those ints to coefficients.  `Polynomial` is the
+interface: inputs are packed once on entry and results unpacked once on
+exit.  Each variable gets a field of w bits, whose top bit is a guard bit
+and whose other bits hold an exponent of at most C = 2^(w-1) - 1:
+
+* lex: field i holds e_i, the first variable in the most significant field.
+* grevlex: field i holds C - e_i, the last variable in the most significant
+  field, and the total degree sits above all fields.
+
+Integer order is the monomial order.  The fields never exceed C, so an int
+is a mixed-radix number whose digits, most significant first, are
+(e_0, ..., e_{n-1}) under lex and (deg, -e_{n-1} + C, ..., -e_0 + C) under
+grevlex; ints compare digit by digit, which is `MonomialOrder.key`.
+
+Arithmetic.  Let K be the int with C in every field under grevlex, 0 under
+lex.  Then a product is P(ab) = P(a) + P(b) - K and a quotient is
+P(a/b) = P(a) - P(b) + K.  In a quotient each field of P(a) + K - P(b) is
+a_i - b_i (lex) or C + b_i - a_i (grevlex).  When b divides a, every field
+lies in [0, C]: nothing borrows and every guard bit is clear.  When b_i > a_i
+somewhere, take the least significant such field.  The fields below it are
+in range and lend nothing, so it holds a value in [-C, -1] (lex) or
+[C + 1, 2C] (grevlex) in w bits, and its guard bit is set; negative ints
+behave alike, since `&` reads them in two's complement.  So one subtraction
+and a guard mask decide divisibility exactly, and the subtraction is the
+quotient.  A product is read the same way: a field sums to a_i + b_i
+(lex) or C - a_i - b_i (grevlex), and the least significant one above C
+sets its guard bit, so an exponent past the width raises PackingOverflow
+instead of wrapping.  The entry points then retry with twice the width.
+
+Reduction keeps the pending terms in a max-heap of negated ints with lazy
+deletion: a term that cancels leaves its heap entry behind, and an entry
+whose term is gone is skipped.  It takes the greatest term, as a scan for
+the maximum would, and subtracts a multiple of the first basis element
+whose leading term divides it.  Pairs are taken by (sugar, lcm, i, j), the
+lcm compared as an int, which is its order.  The coprime test compares
+degrees (deg lcm = deg a + deg b exactly when the supports are disjoint),
+and the chain criterion uses the same exact divisibility test.  So the
+S-pairs reduced, and every reduction step, are those of the same algorithm
+on exponent tuples.
+
 Krull dimension of a quotient by a monomial ideal is the size of the
 largest variable subset that contains no generator's support, that is
 nvars minus the size of a smallest set of variables hitting every support
@@ -27,7 +68,7 @@ to the ideal.
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit`; the deadline is checked in the
 Buchberger main loop, in reductions and in the dimension search, and expiry
-raises ComputationTimeout.
+raises ComputationTimeout naming the stage it stopped in.
 """
 
 from __future__ import annotations
@@ -36,24 +77,27 @@ import math
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import comb
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import ComputationTimeout, DomainError, GenericHeightError, KindShapeError, RingMismatchError
 from .matrixalg import MatrixKind, PolyMatrix, enumerate_minors, enumerate_pfaffians
 from .poly import (
+    FieldSpec,
     Monomial,
     MonomialOrder,
     PolyRing,
     Polynomial,
-    coefficient_ops,
     mon_div,
     mon_lcm,
-    order_key_fn,
 )
 
 _deadline: ContextVar[float | None] = ContextVar("reeskit_deadline", default=None)
+
+# Reductions read the clock once per this many terms taken.
+_DEADLINE_EVERY_STEPS = 256
 
 
 @contextmanager
@@ -66,10 +110,10 @@ def time_limit(seconds: float):
         _deadline.reset(token)
 
 
-def _check_deadline():
+def _check_deadline(stage: str):
     limit = _deadline.get()
     if limit is not None and time.monotonic() > limit:
-        raise ComputationTimeout("Groebner computation exceeded the time limit")
+        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {stage}")
 
 
 def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[list[Polynomial], PolyRing]:
@@ -81,7 +125,7 @@ def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[
             raise RingMismatchError("generators live in different rings")
     if order is not None and order != ring.order:
         ring = PolyRing(ring.variables, field=ring.field, order=order)
-        gens = [Polynomial(ring, dict(g.terms)) for g in gens]
+        gens = [Polynomial(ring, g.terms) for g in gens]
     return list(gens), ring
 
 
@@ -92,55 +136,189 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, fc = f.leading_term()
     gm, gc = g.leading_term()
     lcm = mon_lcm(fm, gm)
-    uf = mon_div(lcm, fm)
-    ug = mon_div(lcm, gm)
-    ops = coefficient_ops(f.ring.field)
-    one = f.ring.field.coerce(1)
-    sf = _shift_scale(f, uf, ops.div(one, fc), ops)
-    sg = _shift_scale(g, ug, ops.div(one, gc), ops)
-    return sf - sg
+    ring, div = f.ring, f.ring.field.ops.div
+    return ring.term(div(1, fc), mon_div(lcm, fm)) * f - ring.term(div(1, gc), mon_div(lcm, gm)) * g
 
 
-def _shift_scale(p: Polynomial, mon: Monomial, coeff, ops) -> Polynomial:
-    out = {}
-    for m, c in p.terms.items():
-        out[tuple(a + b for a, b in zip(m, mon))] = ops.mul(c, coeff)
-    return Polynomial(p.ring, out, _clean=True)
+# -- packed monomials ---------------------------------------------------------
 
 
-def _normal_form_terms(
-    start: dict,
-    reducers: list[tuple[Monomial, object, dict]],
-    ops,
-    kf,
-) -> dict:
-    """Full tail reduction of a term dict against (lm, lc, terms) reducers."""
-    work = dict(start)
+class PackingOverflow(DomainError):
+    """An exponent does not fit the field width of a MonomialPacking."""
+
+
+class MonomialPacking:
+    """Exponent tuples of one ring packed into ints ordered like the monomials.
+
+    The layout, and why the product, the quotient and the divisibility test
+    are exact, are in the module docstring.
+    """
+
+    __slots__ = ("nvars", "order", "width", "max_exponent", "offset", "guard", "_shifts", "_top", "_field")
+
+    def __init__(self, nvars: int, order: MonomialOrder, width: int):
+        if width < 2:
+            raise DomainError(f"a packed field needs a guard bit and an exponent bit, got width {width}")
+        grevlex = order is MonomialOrder.GREVLEX
+        self.nvars = nvars
+        self.order = order
+        self.width = width
+        self.max_exponent = cap = (1 << (width - 1)) - 1
+        self._field = (1 << width) - 1
+        self._shifts = tuple(width * (i if grevlex else nvars - 1 - i) for i in range(nvars))
+        self._top = width * nvars if grevlex else None
+        self.offset = sum(cap << s for s in self._shifts) if grevlex else 0
+        self.guard = sum(1 << (s + width - 1) for s in self._shifts)
+
+    @classmethod
+    def fitting(cls, ring: PolyRing, polys: Iterable[Polynomial]) -> "MonomialPacking":
+        """A packing of the ring's order with room for twice the largest
+        exponent in the polynomials, and at least 7 exponent bits."""
+        top = max((max(m, default=0) for p in polys for m in p.terms), default=0)
+        return cls(ring.nvars, ring.order, max(8, (2 * top).bit_length() + 1))
+
+    def widened(self) -> "MonomialPacking":
+        return MonomialPacking(self.nvars, self.order, 2 * self.width)
+
+    def pack(self, m: Monomial) -> int:
+        if max(m, default=0) > self.max_exponent:
+            raise PackingOverflow(f"exponent {max(m)} exceeds the packed maximum {self.max_exponent}")
+        x = sum(e << s for e, s in zip(m, self._shifts))
+        if self._top is None:
+            return x
+        return (sum(m) << self._top) + self.offset - x
+
+    def unpack(self, x: int) -> Monomial:
+        field = self._field
+        if self._top is None:
+            return tuple((x >> s) & field for s in self._shifts)
+        cap = self.max_exponent
+        return tuple(cap - ((x >> s) & field) for s in self._shifts)
+
+    def degree(self, x: int) -> int:
+        return x >> self._top if self._top is not None else sum(self.unpack(x))
+
+    def mul(self, a: int, b: int) -> int:
+        """The packed product; raises PackingOverflow past the width."""
+        r = a + b - self.offset
+        if r & self.guard:
+            raise PackingOverflow(f"a product exponent exceeds the packed maximum {self.max_exponent}")
+        return r
+
+    def div(self, a: int, b: int) -> int | None:
+        """The packed quotient a / b, or None when b does not divide a."""
+        r = a - b + self.offset
+        return None if r & self.guard else r
+
+
+class _Rationals:
+    """Stands in for the modulus over QQ, where `x % _RATIONALS` is x."""
+
+    def __rmod__(self, x):
+        return x
+
+
+_RATIONALS = _Rationals()
+
+
+def _modulus(field: FieldSpec):
+    return _RATIONALS if field.p is None else field.p
+
+
+def _packed_run(ring: PolyRing, polys: Sequence[Polynomial], compute: Callable):
+    """(packing, compute(packing)), doubling the width on each overflow."""
+    packing = MonomialPacking.fitting(ring, polys)
+    while True:
+        try:
+            return packing, compute(packing)
+        except PackingOverflow:
+            packing = packing.widened()
+
+
+def _pack(packing: MonomialPacking, p: Polynomial) -> dict:
+    return {packing.pack(m): c for m, c in p.terms.items()}
+
+
+def _unpack(ring: PolyRing, packing: MonomialPacking, poly: dict) -> Polynomial:
+    return Polynomial(ring, {packing.unpack(m): c for m, c in poly.items()}, _clean=True)
+
+
+def _monic(poly: dict, field: FieldSpec) -> dict:
+    lc = poly[max(poly)]
+    if lc == 1:
+        return poly
+    inv = field.ops.div(1, lc)
+    modulus = _modulus(field)
+    return {m: c * inv % modulus for m, c in poly.items()}
+
+
+def _reducer(poly: dict, packing: MonomialPacking) -> tuple:
+    """A monic packed polynomial as `_reduce` reads it, the one form in
+    which a basis is kept: (P(lm) - K, P(hull), [P(t) - K for the tail terms
+    t], [their coefficients]), the tail in descending order.
+
+    For a term m, q = m - (P(lm) - K) is the quotient m / lm, and
+    q + (P(t) - K) is the product q*t.  The hull takes the largest exponent
+    of each variable over the terms, so q times the hull bounds every such
+    product."""
+    terms = sorted(poly, reverse=True)
+    exponents = [packing.unpack(m) for m in terms]
+    hull = packing.pack(tuple(map(max, *exponents)) if len(exponents) > 1 else exponents[0])
+    k = packing.offset
+    return terms[0] - k, hull, [m - k for m in terms[1:]], [poly[m] for m in terms[1:]]
+
+
+def _polynomial(reducer: tuple, packing: MonomialPacking, one) -> dict:
+    """The packed polynomial a `_reducer` stands for; `one` is the field's 1."""
+    lmk, _, monos, coeffs = reducer
+    k = packing.offset
+    poly = {lmk + k: one}
+    poly.update(zip([m + k for m in monos], coeffs))
+    return poly
+
+
+def _reduce(work: dict, reducers: list[tuple], packing: MonomialPacking, modulus, stage: str) -> dict:
+    """Full reduction of `work` (packed monomial -> coefficient; consumed)
+    by monic `_reducer`s; the remainder comes out in descending order.
+
+    The loop takes the greatest pending term and subtracts the multiple of
+    the first reducer whose leading term divides it, or moves it to the
+    remainder when none does.
+    """
+    guard = packing.guard
+    heap = [-m for m in work]
+    heapify(heap)
     remainder: dict = {}
     steps = 0
-    while work:
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, None)
+        if c is None:  # cancelled, or a second entry of a term already taken
+            continue
         steps += 1
-        if steps % 256 == 0:
-            _check_deadline()
-        wm = max(work, key=kf)
-        wc = work.pop(wm)
-        for lm, lc, terms in reducers:
-            q = mon_div(wm, lm)
-            if q is None:
+        if steps % _DEADLINE_EVERY_STEPS == 0:
+            _check_deadline(stage)
+        for lmk, hull, monos, coeffs in reducers:
+            q = m - lmk
+            if q & guard:
                 continue
-            factor = ops.div(wc, lc)
-            for m, c in terms.items():
-                if m == lm:
-                    continue
-                mm = tuple(a + b for a, b in zip(q, m))
-                s = ops.sub(work.get(mm, 0), ops.mul(factor, c)) if mm in work else ops.neg(ops.mul(factor, c))
-                if s == 0:
-                    work.pop(mm, None)
+            packing.mul(q, hull)
+            f = -c
+            for tk, tc in zip(monos, coeffs):
+                mm = q + tk
+                v = work.get(mm)
+                if v is None:
+                    work[mm] = f * tc % modulus
+                    heappush(heap, -mm)
                 else:
-                    work[mm] = s
+                    v = (v + f * tc) % modulus
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
             break
         else:
-            remainder[wm] = wc
+            remainder[m] = c
     return remainder
 
 
@@ -148,16 +326,18 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Remainder of p on division by the basis; no term of the result is
     divisible by any basis leading term, and p minus the result lies in the
     ideal the basis generates."""
-    reducers = []
     for g in basis:
         if g.ring != p.ring:
             raise RingMismatchError("basis element in a different ring")
-        lt = g.leading_term()
-        if lt is not None:
-            reducers.append((lt[0], lt[1], dict(g.terms)))
-    ops = coefficient_ops(p.ring.field)
-    kf = order_key_fn(p.ring.order)
-    return Polynomial(p.ring, _normal_form_terms(dict(p.terms), reducers, ops, kf), _clean=True)
+    basis = [g for g in basis if not g.is_zero]
+    field = p.ring.field
+
+    def compute(packing: MonomialPacking) -> dict:
+        reducers = [_reducer(_monic(_pack(packing, g), field), packing) for g in basis]
+        return _reduce(_pack(packing, p), reducers, packing, _modulus(field), "normal form reduction")
+
+    packing, remainder = _packed_run(p.ring, [p, *basis], compute)
+    return _unpack(p.ring, packing, remainder)
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
@@ -171,108 +351,132 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     if not gens:
         return ()
     gens, ring = _reringed(gens, order)
-    ops = coefficient_ops(ring.field)
-    kf = order_key_fn(ring.order)
+    if any(g.degree() == 0 for g in gens):
+        return (ring.one(),)
+    packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing))
+    if basis is None:
+        return (ring.one(),)
+    return tuple(_unpack(ring, packing, g) for g in basis)
 
-    basis: list[Polynomial] = []
+
+def _buchberger(gens: list[Polynomial], field: FieldSpec, packing: MonomialPacking) -> list[dict] | None:
+    """The packed reduced basis, descending by leading monomial; None for
+    the unit ideal."""
+    modulus = _modulus(field)
+    guard = packing.guard
+    stage = "Buchberger reduction"
+
+    reducers: list[tuple] = []
     lms: list[Monomial] = []
+    degs: list[int] = []
     sugars: list[int] = []
-    reducers: list[tuple[Monomial, object, dict]] = []
+    # done[j][i]: the pair (i, j), i < j, has left the pair heap.
+    done: list[bytearray] = []
 
-    def add_poly(p: Polynomial, sugar: int):
-        p = p.monic()
-        basis.append(p)
-        lm = p.leading_monomial()
+    def add_poly(poly: dict, sugar: int):
+        reducers.append(_reducer(poly, packing))
+        lm = packing.unpack(max(poly))
         lms.append(lm)
+        degs.append(sum(lm))
         sugars.append(sugar)
-        reducers.append((lm, p.terms[lm], dict(p.terms)))
+
+    def degree(poly: dict) -> int:
+        return max(map(packing.degree, poly))
 
     seen: set = set()
-    for g in sorted(gens, key=lambda q: kf(q.leading_monomial())):
-        if g.degree() == 0:
-            return (ring.one(),)
-        gm = g.monic()
-        key = frozenset(gm.terms.items())
+    for poly in sorted((_pack(packing, g) for g in gens), key=max):
+        poly = _monic(poly, field)
+        key = frozenset(poly.items())
         if key not in seen:
             seen.add(key)
-            add_poly(gm, gm.degree())
+            add_poly(poly, degree(poly))
 
-    pending: set[tuple[int, int]] = set()
     heap: list = []
 
     def push_pairs(j: int):
+        done.append(bytearray(j))
         for i in range(j):
-            lcm = mon_lcm(lms[i], lms[j])
-            sugar = max(
-                sugars[i] + sum(lcm) - sum(lms[i]),
-                sugars[j] + sum(lcm) - sum(lms[j]),
-            )
-            pending.add((i, j))
-            heappush(heap, (sugar, kf(lcm), i, j))
+            lcm = tuple(map(max, lms[i], lms[j]))
+            deg = sum(lcm)
+            sugar = max(sugars[i] + deg - degs[i], sugars[j] + deg - degs[j])
+            heappush(heap, (sugar, packing.pack(lcm), i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(reducers)):
         push_pairs(j)
 
     while heap:
-        _check_deadline()
-        sugar, _, i, j = heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        lcm = mon_lcm(lms[i], lms[j])
+        _check_deadline(stage)
+        sugar, lcm, i, j = heappop(heap)
+        done[j][i] = 1
         # Coprime leading terms: the S-polynomial reduces to zero.
-        if all(a + b == c for a, b, c in zip(lms[i], lms[j], lcm)):
+        if packing.degree(lcm) == degs[i] + degs[j]:
             continue
         # Chain criterion: some k divides the lcm and both side pairs are done.
         skip = False
-        for k in range(len(basis)):
+        for k in range(len(reducers)):
             if k == i or k == j:
                 continue
-            if mon_div(lcm, lms[k]) is None:
+            if (lcm - reducers[k][0]) & guard:
                 continue
-            if (min(i, k), max(i, k)) not in pending and (min(j, k), max(j, k)) not in pending:
+            if done[max(i, k)][min(i, k)] and done[max(j, k)][min(j, k)]:
                 skip = True
                 break
         if skip:
             continue
-        s = spoly(basis[i], basis[j])
-        h_terms = _normal_form_terms(dict(s.terms), reducers, ops, kf)
-        if not h_terms:
+        h = _reduce(_spair(lcm, reducers[i], reducers[j], packing, modulus), reducers, packing, modulus, stage)
+        if not h:
             continue
-        h = Polynomial(ring, h_terms, _clean=True)
-        if h.degree() == 0:
-            return (ring.one(),)
-        add_poly(h, max(sugar, h.degree()))
-        push_pairs(len(basis) - 1)
+        h_degree = degree(h)
+        if h_degree == 0:
+            return None
+        add_poly(_monic(h, field), max(sugar, h_degree))
+        push_pairs(len(reducers) - 1)
 
-    return _reduce_basis(basis, ring, ops, kf)
+    return _inter_reduce(reducers, field, packing)
 
 
-def _reduce_basis(basis: list[Polynomial], ring: PolyRing, ops, kf) -> tuple[Polynomial, ...]:
+def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> dict:
+    """The S-polynomial of two monic reducers with the given packed lcm: the
+    tails of lcm/lm_a * a minus lcm/lm_b * b (the leading terms cancel)."""
+    qa, qb = lcm - a[0], lcm - b[0]
+    packing.mul(qa, a[1])
+    packing.mul(qb, b[1])
+    work = {qa + tk: c for tk, c in zip(a[2], a[3])}
+    for tk, c in zip(b[2], b[3]):
+        m = qb + tk
+        v = (work.get(m, 0) - c) % modulus
+        if v:
+            work[m] = v
+        else:
+            work.pop(m, None)
+    return work
+
+
+def _inter_reduce(reducers: list[tuple], field: FieldSpec, packing: MonomialPacking) -> list[dict]:
     # Minimalize: scanning by ascending leading monomial keeps exactly the
-    # elements whose leading term no kept element divides.
-    ordered = sorted(basis, key=lambda g: kf(g.leading_monomial()))
-    kept: list[Polynomial] = []
-    kept_lms: list[Monomial] = []
-    for g in ordered:
-        lm = g.leading_monomial()
-        if any(mon_div(lm, k) is not None for k in kept_lms):
+    # elements whose leading term no kept element divides.  P(lm) - K
+    # orders like P(lm), and div(a - K, b - K) is div(a, b).
+    kept: list[tuple] = []
+    for r in sorted(reducers, key=itemgetter(0)):
+        if any(packing.div(r[0], k[0]) is not None for k in kept):
             continue
-        kept.append(g)
-        kept_lms.append(lm)
+        kept.append(r)
     # Tail-reduce each element against the others until stable.
+    modulus = _modulus(field)
+    one = field.coerce(1)
     changed = True
     while changed:
         changed = False
         for idx in range(len(kept)):
-            others = [(kept_lms[k], kept[k].terms[kept_lms[k]], dict(kept[k].terms)) for k in range(len(kept)) if k != idx]
-            reduced = Polynomial(ring, _normal_form_terms(dict(kept[idx].terms), others, ops, kf), _clean=True).monic()
+            others = kept[:idx] + kept[idx + 1 :]
+            work = _polynomial(kept[idx], packing, one)
+            reduced = _monic(_reduce(work, others, packing, modulus, "basis inter-reduction"), field)
+            reduced = _reducer(reduced, packing)
             if reduced != kept[idx]:
                 kept[idx] = reduced
-                kept_lms[idx] = reduced.leading_monomial()
                 changed = True
-    kept.sort(key=lambda g: kf(g.leading_monomial()), reverse=True)
-    return tuple(kept)
+    kept.sort(key=itemgetter(0), reverse=True)
+    return [_polynomial(r, packing, one) for r in kept]
 
 
 # -- dimension and height ----------------------------------------------------
@@ -331,7 +535,7 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
             best = chosen
             return
         if expanded % _DEADLINE_EVERY_NODES == 0:
-            _check_deadline()
+            _check_deadline("dimension search")
         expanded += 1
         pivot = uncovered[0]
         while pivot:
@@ -408,7 +612,7 @@ class IdealHandle:
         basis = self.groebner_basis()
         if basis and p.ring != basis[0].ring and p.ring.variables == basis[0].ring.variables:
             # The handle carries an explicit order; move p into that ring.
-            p = Polynomial(basis[0].ring, dict(p.terms))
+            p = Polynomial(basis[0].ring, p.terms)
         return normal_form(p, basis)
 
     def contains(self, p: Polynomial) -> bool:
@@ -434,7 +638,7 @@ def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial
     those pivots from it leaves zero.  Each step cancels the row's largest
     monomial and adds only smaller ones, so the reduction terminates.
     """
-    ops = coefficient_ops(ring.field)
+    ops = ring.field.ops
     pivots: dict[Monomial, dict] = {}
     kept = []
     for p in polys:

@@ -6,7 +6,10 @@ are validated entrywise at construction; the common homogeneous entry degree
 
 Determinants switch from cofactor expansion to fraction-free (Bareiss)
 elimination at size 5; both algorithms stay public so they can serve as each
-other's oracle.  Pfaffians use the first-row Laplace expansion with a shared
+other's oracle.  An enumeration of minors instead expands each along its
+first row, with a memo over (rows, cols) pairs shared by the whole
+enumeration: on polynomial entries that is far cheaper than Bareiss's exact
+divisions.  Pfaffians use the first-row Laplace expansion with a shared
 memo over index subsets, and the Pfaffian adjoint is the alternating matrix
 whose (i, j) entry, i < j, is (-1)^(i+j) times the Pfaffian of the matrix
 with rows and columns i, j deleted; it satisfies pfadj(M)*M = Pf(M)*I.
@@ -25,7 +28,6 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
-    coefficient_ops,
     homogeneous_degree,
     mon_div,
 )
@@ -216,7 +218,7 @@ def exact_quotient(num: Polynomial, den: Polynomial) -> Polynomial:
     if num.is_zero:
         return num.ring.zero()
     ring = num.ring
-    ops = coefficient_ops(ring.field)
+    ops = ring.field.ops
     lt = den.leading_term()
     dm, dc = lt
     den_terms = den.terms
@@ -373,6 +375,26 @@ def minor_selectors(m: int, n: int, t: int) -> list[tuple[tuple[int, ...], tuple
     return [(r, c) for r in combinations(range(m), t) for c in combinations(range(n), t)]
 
 
+def _minor(M: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> Polynomial:
+    """Determinant of M on nonempty rows x cols (increasing indices), by
+    expansion along the first row; `memo` holds the minors already computed."""
+    if len(rows) == 1:
+        return M.entry(rows[0], cols[0])
+    cached = memo.get((rows, cols))
+    if cached is not None:
+        return cached
+    first, rest = rows[0], rows[1:]
+    total = M.ring.zero()
+    for pos, col in enumerate(cols):
+        e = M.entry(first, col)
+        if e.is_zero:
+            continue
+        term = e * _minor(M, rest, cols[:pos] + cols[pos + 1 :], memo)
+        total = total - term if pos % 2 else total + term
+    memo[rows, cols] = total
+    return total
+
+
 def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
     """All t x t minors, selector order lexicographic (rows outer).
 
@@ -382,7 +404,8 @@ def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
     if not 1 <= t <= min(M.m, M.n):
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
-    return [determinant(M.submatrix(r, c)) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
+    memo: dict = {}
+    return [_minor(M, r, c, memo) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:

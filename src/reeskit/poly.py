@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
@@ -72,6 +73,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+class CoeffOps(NamedTuple):
+    """Arithmetic closures for a field, used by the inner loops."""
+
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable
+    neg: Callable
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: the rationals (p is None) or F_p for a prime p."""
@@ -113,36 +124,28 @@ class FieldSpec:
             return num * pow(den, -1, self.p) % self.p
         return value % self.p
 
+    @cached_property
+    def ops(self) -> CoeffOps:
+        """The field's arithmetic, built once per FieldSpec."""
+        p = self.p
+        if p is None:
+            return CoeffOps(
+                add=lambda a, b: a + b,
+                sub=lambda a, b: a - b,
+                mul=lambda a, b: a * b,
+                div=lambda a, b: a / b,
+                neg=lambda a: -a,
+            )
+        return CoeffOps(
+            add=lambda a, b: (a + b) % p,
+            sub=lambda a, b: (a - b) % p,
+            mul=lambda a, b: (a * b) % p,
+            div=lambda a, b: a * pow(b, -1, p) % p,
+            neg=lambda a: (-a) % p,
+        )
+
     def __str__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
-
-
-class CoeffOps(NamedTuple):
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable
-    neg: Callable
-
-
-def coefficient_ops(field: FieldSpec) -> CoeffOps:
-    """Arithmetic closures for a field, used by the inner loops."""
-    p = field.p
-    if p is None:
-        return CoeffOps(
-            add=lambda a, b: a + b,
-            sub=lambda a, b: a - b,
-            mul=lambda a, b: a * b,
-            div=lambda a, b: a / b,
-            neg=lambda a: -a,
-        )
-    return CoeffOps(
-        add=lambda a, b: (a + b) % p,
-        sub=lambda a, b: (a - b) % p,
-        mul=lambda a, b: (a * b) % p,
-        div=lambda a, b: a * pow(b, -1, p) % p,
-        neg=lambda a: (-a) % p,
-    )
 
 
 class MonomialOrder(Enum):
@@ -158,20 +161,6 @@ class MonomialOrder(Enum):
 
 GREVLEX = MonomialOrder.GREVLEX
 LEX = MonomialOrder.LEX
-
-
-def order_key_fn(order: MonomialOrder) -> Callable[[Monomial], tuple]:
-    """Memoized key function; worth it inside Groebner reductions."""
-    cache: dict[Monomial, tuple] = {}
-    base = order.key
-
-    def kf(m: Monomial) -> tuple:
-        k = cache.get(m)
-        if k is None:
-            k = cache[m] = base(m)
-        return k
-
-    return kf
 
 
 @dataclass(frozen=True)
@@ -303,7 +292,7 @@ class Polynomial:
             else:
                 return NotImplemented
         self._check_ring(other)
-        ops = coefficient_ops(self.ring.field)
+        ops = self.ring.field.ops
         out = dict(self._terms)
         for m, c in other._terms.items():
             s = ops.add(out.get(m, 0), c) if m in out else c
@@ -316,7 +305,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        neg = coefficient_ops(self.ring.field).neg
+        neg = self.ring.field.ops.neg
         return Polynomial(self.ring, {m: neg(c) for m, c in self._terms.items()}, _clean=True)
 
     def __sub__(self, other):
@@ -336,13 +325,13 @@ class Polynomial:
                 c = self.ring.field.coerce(other)
                 if c == 0:
                     return self.ring.zero()
-                mul = coefficient_ops(self.ring.field).mul
+                mul = self.ring.field.ops.mul
                 return Polynomial(self.ring, {m: mul(v, c) for m, v in self._terms.items()}, _clean=True)
             return NotImplemented
         self._check_ring(other)
         if not self._terms or not other._terms:
             return self.ring.zero()
-        ops = coefficient_ops(self.ring.field)
+        ops = self.ring.field.ops
         out: dict[Monomial, object] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
@@ -373,7 +362,7 @@ class Polynomial:
         lt = self.leading_term()
         if lt is None:
             return self
-        div = coefficient_ops(self.ring.field).div
+        div = self.ring.field.ops.div
         _, lc = lt
         return Polynomial(self.ring, {m: div(c, lc) for m, c in self._terms.items()}, _clean=True)
 

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +299,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert "time limit" in err
+
+
+class TestBenchmarkProblem:
+    def test_linear_gf_problem_matches_the_recorded_expectation(self, tmp_path, capsys, monkeypatch):
+        # A base problem of the linear-gf benchmark workload, as written,
+        # checked the way the benchmark checks it against the values in
+        # perfbench/expected.json.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import corpus
+        import worker
+
+        base = next(b for b in corpus.BASES["linear-gf"] if b.id == "lin-ord-3x5-d8-t3")
+        problem = corpus.problem(base, None, base.id, corpus.load_expected()[base.id])
+        path = write_problem(tmp_path, problem["doc"])
+        assert run([path if a == "{file}" else a for a in problem["argv"]]) == problem["expect"]["exit"] == 0
+        out = capsys.readouterr().out
+        assert worker.checked_content(out, problem["json"]) == problem["expect"]["content"]
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ from reeskit.errors import ComputationTimeout, DomainError
 from reeskit.groebner import (
     IdealHandle,
     LowerIdealCache,
+    MonomialPacking,
     buchberger,
     expected_generic_height,
     height,
@@ -21,8 +22,8 @@ from reeskit.groebner import (
     time_limit,
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
-from reeskit.matrixalg import generic_matrix
-from reeskit.poly import FieldSpec, PolyRing, parse_poly
+from reeskit.matrixalg import PolyMatrix, generic_matrix
+from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, mon_div, parse_poly
 
 from conftest import brute_force_dimension, random_poly
 
@@ -141,6 +142,98 @@ class TestNormalForm:
             p = random_poly(rng, fp_xyz, max_terms=4, max_exp=3)
             r = normal_form(p, basis)
             assert normal_form(p - r, basis).is_zero
+
+
+class TestPacking:
+    ORDERS = [MonomialOrder.GREVLEX, MonomialOrder.LEX]
+
+    @staticmethod
+    def random_monomials(rng, nvars, count, cap):
+        return [tuple(rng.randint(0, cap) for _ in range(nvars)) for _ in range(count)]
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_int_order_is_the_monomial_order(self, order):
+        rng = random.Random(11)
+        for nvars in (1, 2, 5, 9):
+            packing = MonomialPacking(nvars, order, 8)
+            mons = self.random_monomials(rng, nvars, 60, 9) + [(0,) * nvars]
+            for a in mons:
+                assert packing.unpack(packing.pack(a)) == a
+                for b in mons:
+                    assert (packing.pack(a) < packing.pack(b)) == (order.key(a) < order.key(b))
+                    assert (packing.pack(a) == packing.pack(b)) == (a == b)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_product_and_quotient_match_tuple_arithmetic(self, order):
+        rng = random.Random(12)
+        for nvars in (1, 3, 7):
+            packing = MonomialPacking(nvars, order, 6)  # exponents up to 31
+            mons = self.random_monomials(rng, nvars, 40, 15)
+            for a in mons:
+                for b in mons:
+                    pa, pb = packing.pack(a), packing.pack(b)
+                    assert packing.unpack(packing.mul(pa, pb)) == tuple(x + y for x, y in zip(a, b))
+                    q = mon_div(a, b)
+                    assert packing.div(pa, pb) == (None if q is None else packing.pack(q))
+                    assert packing.degree(pa) == sum(a)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_exponents_past_the_width_raise(self, order):
+        nvars = 4
+        packing = MonomialPacking(nvars, order, 4)  # exponents up to 7
+        for i in range(nvars):
+            big = tuple(8 if k == i else 0 for k in range(nvars))
+            with pytest.raises(DomainError):
+                packing.pack(big)
+            a = tuple(4 if k == i else 7 for k in range(nvars))
+            b = tuple(4 if k == i else 0 for k in range(nvars))
+            with pytest.raises(DomainError):
+                packing.mul(packing.pack(a), packing.pack(b))
+            c = tuple(3 if k == i else 7 for k in range(nvars))
+            assert packing.unpack(packing.mul(packing.pack(b), packing.pack(c))) == (7,) * nvars
+
+    def test_the_width_grows_when_exponents_outgrow_it(self):
+        # Lex reduction raises the exponent of y far past every input's.
+        ring = PolyRing(("x", "y"), order=MonomialOrder.LEX)
+        x, y = ring.gens()
+        assert normal_form(x**10, [x - y**20]) == y**200
+        assert set(buchberger([x**3, x - y**50])) == {x - y**50, y**150}
+
+
+# Reduced bases of I_2 of one linear 2x3 matrix, recorded with the Groebner
+# core that worked on exponent tuples.
+PINNED_ENTRIES = (("x + 2*y", "3*y - z", "x + z"), ("2*x - z", "y + z", "x - y + 3*z"))
+PINNED_BASES = [
+    (F32003, MonomialOrder.GREVLEX, [
+        "x^2 + 17453*x*z + y*z + 31999*z^2",
+        "x*y + 11637*x*z + 32000*y*z + z^2",
+        "y^2 + 29094*x*z + 31998*y*z + 2*z^2",
+    ]),
+    (F32003, MonomialOrder.LEX, [
+        "x^2 + 24011*y^2 + 7958*y*z + 16015*z^2",
+        "x*y + 8002*y^2 + 23993*y*z + 16005*z^2",
+        "x*z + 24005*y^2 + 7987*y*z + 16007*z^2",
+        "y^3 + 11632*y^2*z + 29099*y*z^2 + 26183*z^3",
+    ]),
+    (FieldSpec.rationals(), MonomialOrder.GREVLEX, [
+        "x^2 - 35/11*x*z + y*z - 4*z^2",
+        "x*y - 5/11*x*z - 3*y*z + z^2",
+        "y^2 + 4/11*x*z - 5*y*z + 2*z^2",
+    ]),
+    (FieldSpec.rationals(), MonomialOrder.LEX, [
+        "x^2 + 35/4*y^2 - 171/4*y*z + 27/2*z^2",
+        "x*y + 5/4*y^2 - 37/4*y*z + 7/2*z^2",
+        "x*z + 11/4*y^2 - 55/4*y*z + 11/2*z^2",
+        "y^3 - 60/11*y^2*z + 59/11*y*z^2 - 14/11*z^3",
+    ]),
+]
+
+
+@pytest.mark.parametrize("field,order,expected", PINNED_BASES)
+def test_pinned_reduced_basis_of_a_linear_ideal(field, order, expected):
+    ring = PolyRing(("x", "y", "z"), field=field, order=order)
+    M = PolyMatrix("ordinary", [[parse_poly(e, ring) for e in row] for row in PINNED_ENTRIES])
+    assert [str(g) for g in ideal_of_minors(M, 2).groebner_basis()] == expected
 
 
 class TestMonomialDimension:
@@ -342,6 +435,25 @@ class TestTimeout:
             with time_limit(0.0):
                 time.sleep(0.001)
                 monomial_ideal_dimension(edges, n)
+
+    def test_timeout_names_its_stage(self, fp_xyz):
+        x, y, z = fp_xyz.gens()
+        with pytest.raises(ComputationTimeout, match="during Buchberger reduction"):
+            with time_limit(0.0):
+                buchberger([x * y - z * z, x * x - y * z])
+        # One generator forms no pair, so only inter-reduction takes steps.
+        many = sum((fp_xyz.term(1, (i, j, 0)) for i in range(23) for j in range(23 - i)), fp_xyz.zero())
+        with pytest.raises(ComputationTimeout, match="during basis inter-reduction"):
+            with time_limit(0.0):
+                buchberger([many])
+        with pytest.raises(ComputationTimeout, match="during normal form reduction"):
+            with time_limit(0.0):
+                normal_form(many, [z])
+        edges = TestMonomialDimension.edge_ideal(11, combinations(range(11), 2))
+        with pytest.raises(ComputationTimeout, match="during dimension search"):
+            with time_limit(0.0):
+                time.sleep(0.001)
+                monomial_ideal_dimension(edges, 11)
 
 
 class TestLowerIdealCache:

@@ -15,6 +15,7 @@ from reeskit.matrixalg import (
     enumerate_minors,
     enumerate_pfaffians,
     generic_matrix,
+    minor_selectors,
     pfaffian,
     pfaffian_adjoint,
 )
@@ -316,6 +317,27 @@ class TestEnumeration:
         assert len(minors) == len(set(minors)) == 10
         skipped = {determinant(M.submatrix(c, r)) for r in combinations(range(4), 3) for c in combinations(range(4), 3)}
         assert skipped == set(minors)
+
+    @pytest.mark.parametrize("kind", ["generic symmetric", "dense linear"])
+    def test_5x5_and_6x6_minors_match_bareiss(self, kind):
+        # Memoized Laplace expansion against fraction-free elimination: a
+        # generic symmetric 6x6 matrix over GF(32003), and a 6x6 matrix of
+        # dense linear forms in three variables over QQ.
+        if kind == "generic symmetric":
+            M = generic_matrix(6, 6, "symmetric", field=F32003)
+        else:
+            rng = random.Random(66)
+            ring = PolyRing(("a", "b", "c"))
+            rows = [[sum(((rng.randint(-9, 9) or 1) * v for v in ring.gens()), ring.zero()) for _ in range(6)] for _ in range(6)]
+            M = PolyMatrix("ordinary", rows)
+        symmetric = M.kind is MatrixKind.SYMMETRIC
+        selectors = [(r, c) for r, c in minor_selectors(6, 6, 5) if r <= c or not symmetric]
+        minors = enumerate_minors(M, 5)
+        assert len(minors) == len(selectors)
+        # Every third 5x5 minor keeps the cost of Bareiss down.
+        for (rows, cols), minor in list(zip(selectors, minors))[::3]:
+            assert minor == det_bareiss(M.submatrix(rows, cols))
+        assert enumerate_minors(M, 6) == [det_bareiss(M)]
 
     def test_pfaffian_counts(self):
         assert len(enumerate_pfaffians(generic_matrix(6, 6, "alternating"), 4)) == comb(6, 4)
