@@ -15,6 +15,7 @@ expiry of a Groebner run).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -500,7 +501,10 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--timeout", type=float, help="abort Groebner work after this many seconds (exit 2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `run` reuses it, since
+    parsing leaves it unchanged.  Callers must not modify it."""
     parser = argparse.ArgumentParser(prog="reeskit", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -4,7 +4,8 @@ The basis computation is plain Buchberger with the two standard pair
 eliminations (coprime leading terms, chain criterion) and sugar-degree pair
 selection, followed by inter-reduction, so every returned basis is the
 unique reduced Groebner basis of its ideal: no leading term divides
-another, every tail is fully reduced, and every element is monic.
+another, every tail is fully reduced, and every element is monic.  Only
+the height path, which passes a stop test, skips the inter-reduction.
 
 Inside this module a monomial is a Python int (`MonomialPacking`), and a
 polynomial is a dict from those ints to coefficients.  `Polynomial` is the
@@ -61,18 +62,49 @@ prunes an optimum.  Height of an arbitrary ideal is nvars minus the
 dimension of its leading-term ideal, which is valid because passing to the
 leading-term ideal is a flat degeneration over a polynomial ring.
 
+Heights stop early at a ceiling.  `IdealHandle.height` of an ideal I with
+homogeneous generators of positive degree runs Buchberger with a stop
+test: on the generators before any pair is formed, and again at each
+sugar boundary where the leading-term set has grown, it asks whether the
+leading terms found so far reach the handle's ceiling c, and ends the run
+if they do.  The answer is then exactly c:
+
+* Every element found lies in I, so its leading term lies in in(I), and
+  the monomial ideal J of the leading terms so far has ht J <= ht in(I)
+  = ht I.
+* The generators are homogeneous of positive degree, so I lies in the
+  ideal of the variables and is proper, and ht I <= c: every proper ideal
+  has height at most nvars, a proper ideal of t x t minors of an m x n
+  matrix at most (m-t+1)(n-t+1) (Eagon and Northcott, 1962), of t x t
+  minors of a symmetric n x n matrix at most C(n-t+2, 2) (Kutz, 1974),
+  and of 2t x 2t Pfaffians of an alternating n x n matrix at most
+  C(n-2t+2, 2) (Józefiak and Pragacz, 1979).  These are
+  Notation 2.1a-c, `expected_generic_height`, and `ideal_of_minors` and
+  `ideal_of_pfaffians` set c = min(that bound, nvars).
+* So c <= ht J <= ht I <= c.  When the run completes without reaching c,
+  the height comes from the full leading-term ideal as above.
+
+The check asks only whether every set of fewer than c variables misses
+some support: the dimension search with the best cover set to c, stopped
+at the first smaller cover.  The height path also skips the inter-
+reduction, since the leading terms of any Groebner basis generate in(I).
+Inhomogeneous generators may span the unit ideal, so they take the full
+run.
+
 An ideal of minors or Pfaffians is generated by those that are linearly
 independent, in selector order: the rest lie in their span and add nothing
 to the ideal.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit`; the deadline is checked in the
-Buchberger main loop, in reductions and in the dimension search, and expiry
-raises ComputationTimeout naming the stage it stopped in.
+Buchberger main loop, in reductions, in the ceiling check and in the
+dimension search, and expiry raises ComputationTimeout naming the stage it
+stopped in and, for an ideal of minors or Pfaffians, the ideal.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from contextlib import contextmanager
@@ -90,11 +122,14 @@ from .poly import (
     MonomialOrder,
     PolyRing,
     Polynomial,
+    homogeneous_degree,
     mon_div,
     mon_lcm,
 )
 
 _deadline: ContextVar[float | None] = ContextVar("reeskit_deadline", default=None)
+# The name of the ideal whose work is running, for timeout messages.
+_ideal_name: ContextVar[str | None] = ContextVar("reeskit_ideal_name", default=None)
 
 # Reductions read the clock once per this many terms taken.
 _DEADLINE_EVERY_STEPS = 256
@@ -113,7 +148,9 @@ def time_limit(seconds: float):
 def _check_deadline(stage: str):
     limit = _deadline.get()
     if limit is not None and time.monotonic() > limit:
-        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {stage}")
+        name = _ideal_name.get()
+        where = stage if name is None else f"{stage} of {name}"
+        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {where}")
 
 
 def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[list[Polynomial], PolyRing]:
@@ -340,12 +377,24 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return _unpack(p.ring, packing, remainder)
 
 
-def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -> tuple[Polynomial, ...]:
+def buchberger(
+    gens: Sequence[Polynomial],
+    order: MonomialOrder | None = None,
+    *,
+    stop: Callable[[list[Monomial]], bool] | None = None,
+) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal the generators span.
 
     Deterministic: sugar-degree selection with lcm/index tie-breaks, and the
     reduced basis is unique for (ideal, order) anyway.  Returns generators
     sorted by descending leading monomial.
+
+    With `stop`, the result is not inter-reduced and may be only part of a
+    Groebner basis.  `stop` is called with the leading monomials found so
+    far: on the generators before any pair is formed, and again before the
+    first pair of each higher sugar when the list has grown since the last
+    call.  When it returns True the run ends with the elements found so
+    far.  The unit ideal still gives the basis (1,).
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -353,15 +402,17 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder | None = None) -
     gens, ring = _reringed(gens, order)
     if any(g.degree() == 0 for g in gens):
         return (ring.one(),)
-    packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing))
+    packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing, stop))
     if basis is None:
         return (ring.one(),)
     return tuple(_unpack(ring, packing, g) for g in basis)
 
 
-def _buchberger(gens: list[Polynomial], field: FieldSpec, packing: MonomialPacking) -> list[dict] | None:
-    """The packed reduced basis, descending by leading monomial; None for
-    the unit ideal."""
+def _buchberger(
+    gens: list[Polynomial], field: FieldSpec, packing: MonomialPacking, stop: Callable | None
+) -> list[dict] | None:
+    """The packed basis, descending by leading monomial, reduced unless a
+    `stop` test is given (see `buchberger`); None for the unit ideal."""
     modulus = _modulus(field)
     guard = packing.guard
     stage = "Buchberger reduction"
@@ -401,12 +452,21 @@ def _buchberger(gens: list[Polynomial], field: FieldSpec, packing: MonomialPacki
             sugar = max(sugars[i] + deg - degs[i], sugars[j] + deg - degs[j])
             heappush(heap, (sugar, packing.pack(lcm), i, j))
 
-    for j in range(len(reducers)):
-        push_pairs(j)
+    # `checked` reducers had been added when `stop` last ran; `level` is the
+    # sugar of the last pair taken.
+    checked, level = len(reducers), 0
+    if stop is None or not stop(lms):
+        for j in range(len(reducers)):
+            push_pairs(j)
 
     while heap:
         _check_deadline(stage)
+        if stop is not None and heap[0][0] > level and len(reducers) > checked:
+            checked = len(reducers)
+            if stop(lms):
+                break
         sugar, lcm, i, j = heappop(heap)
+        level = sugar
         done[j][i] = 1
         # Coprime leading terms: the S-polynomial reduces to zero.
         if packing.degree(lcm) == degs[i] + degs[j]:
@@ -432,7 +492,10 @@ def _buchberger(gens: list[Polynomial], field: FieldSpec, packing: MonomialPacki
         add_poly(_monic(h, field), max(sugar, h_degree))
         push_pairs(len(reducers) - 1)
 
-    return _inter_reduce(reducers, field, packing)
+    if stop is None:
+        return _inter_reduce(reducers, field, packing)
+    one = field.coerce(1)
+    return [_polynomial(r, packing, one) for r in sorted(reducers, key=itemgetter(0), reverse=True)]
 
 
 def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> dict:
@@ -494,12 +557,26 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     generator's support lies inside S; computed as nvars minus a minimum
     hitting set of the supports.  Returns nvars for the zero ideal and -1
     when a generator is constant (zero ring).
-
-    Supports are int bitmasks, bit i for variable i.  Every cover contains
-    a variable of each support, so branching on the variables of one
-    uncovered support misses no cover; the pruning bound and why it is
-    exact are in the module docstring.
     """
+    supports = _minimal_supports(monomials)
+    if supports is None:
+        return -1
+    # All variables hit every support, so nvars bounds the cover size.
+    return nvars - _cover_size(supports, nvars, "dimension search")
+
+
+def _reaches(monomials: Iterable[Monomial], ceiling: int) -> bool:
+    """Does the ideal of these nonconstant monomials have height at least
+    `ceiling`, that is, does every cover of their supports take at least
+    `ceiling` variables?"""
+    stage = "height ceiling check"
+    _check_deadline(stage)
+    return _cover_size(_minimal_supports(monomials), ceiling, stage, exact=False) >= ceiling
+
+
+def _minimal_supports(monomials: Iterable[Monomial]) -> list[int] | None:
+    """The supports that contain no other, as int bitmasks (bit i for
+    variable i) in ascending size; None when a monomial is constant."""
     masks: set[int] = set()
     for m in monomials:
         mask = 0
@@ -507,22 +584,31 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
             if e > 0:
                 mask |= 1 << i
         masks.add(mask)
-    if not masks:
-        return nvars
     if 0 in masks:
-        return -1
+        return None
     # Drop supersets: hitting a minimal support hits its supersets.  The
     # rest stay in ascending size, so the first uncovered one is smallest.
     minimal: list[int] = []
     for s in sorted(masks, key=lambda s: (s.bit_count(), s)):
         if not any(t & s == t for t in minimal):
             minimal.append(s)
+    return minimal
 
-    # All variables hit every support, so nvars bounds the cover size.
-    best = nvars
+
+def _cover_size(supports: list[int], limit: int, stage: str, exact: bool = True) -> int:
+    """The size of a smallest set of variables hitting every support when
+    that is below `limit`, else `limit`.  With exact=False the search ends
+    at the first cover below `limit`, whose size is returned.
+
+    Every cover contains a variable of each support, so branching on the
+    variables of one uncovered support misses no cover; the pruning bound
+    and why it is exact are in the module docstring.
+    """
+    best = limit
     expanded = 0
 
-    def search(uncovered: list[int], chosen: int):
+    def search(uncovered: list[int], chosen: int) -> bool:
+        """Improves `best` below this node; True ends the whole search."""
         nonlocal best, expanded
         disjoint, used = 0, 0
         for s in uncovered:
@@ -530,28 +616,47 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
                 used |= s
                 disjoint += 1
         if chosen + disjoint >= best:
-            return
+            return False
         if not uncovered:
             best = chosen
-            return
+            return not exact
         if expanded % _DEADLINE_EVERY_NODES == 0:
-            _check_deadline("dimension search")
+            _check_deadline(stage)
         expanded += 1
         pivot = uncovered[0]
         while pivot:
             bit = pivot & -pivot
             pivot ^= bit
-            search([s for s in uncovered if not s & bit], chosen + 1)
+            if search([s for s in uncovered if not s & bit], chosen + 1):
+                return True
+        return False
 
-    search(minimal, 0)
-    return nvars - best
+    search(supports, 0)
+    return best
+
+
+def _named(method):
+    """Runs an IdealHandle method with the handle's name on timeout messages."""
+
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        token = _ideal_name.set(self.name)
+        try:
+            return method(self, *args)
+        finally:
+            _ideal_name.reset(token)
+
+    return wrapper
 
 
 class IdealHandle:
     """An ideal with lazily cached Groebner data.
 
-    The cache is computed once per handle (idempotent under CPython's GIL);
-    values themselves are immutable and safe to share.
+    `ceiling`, when given, is an upper bound on the height of the ideal
+    whenever it is proper; `height` may then stop Buchberger early (see the
+    module docstring).  `name` (for example `minors(3)`) appears in timeout
+    messages.  The cache is computed once per handle (idempotent under
+    CPython's GIL); values themselves are immutable and safe to share.
     """
 
     def __init__(
@@ -559,6 +664,9 @@ class IdealHandle:
         generators: Iterable[Polynomial],
         ring: PolyRing | None = None,
         order: MonomialOrder | None = None,
+        *,
+        ceiling: int | None = None,
+        name: str | None = None,
     ):
         gens = tuple(generators)
         if gens:
@@ -571,9 +679,12 @@ class IdealHandle:
         self.generators = gens
         self.ring = ring
         self.order = order if order is not None else ring.order
+        self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
+        self.name = name
         self._basis: tuple[Polynomial, ...] | None = None
         self._height = None
 
+    @_named
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
             self._basis = buchberger(self.generators, self.order) if self.generators else ()
@@ -589,6 +700,7 @@ class IdealHandle:
     def is_zero(self) -> bool:
         return not self.groebner_basis()
 
+    @_named
     def quotient_dimension(self) -> int:
         """dim of R/I; nvars for the zero ideal, -1 for the unit ideal."""
         if self.is_zero():
@@ -597,17 +709,38 @@ class IdealHandle:
             return -1
         return monomial_ideal_dimension(self.lt_monomials(), self.ring.nvars)
 
+    @_named
     def height(self):
-        """Extended height: +inf for the unit ideal, 0 for the zero ideal."""
+        """Extended height: +inf for the unit ideal, 0 for the zero ideal.
+
+        With homogeneous generators and no basis computed yet, Buchberger
+        stops once the leading terms reach the ceiling, and the height is
+        the ceiling; the module docstring has the proof."""
         if self._height is None:
-            if self.is_unit():
-                self._height = math.inf
-            elif self.is_zero():
-                self._height = 0
+            reached = False
+
+            def at_ceiling(lms: list[Monomial]) -> bool:
+                nonlocal reached
+                reached = _reaches(lms, self.ceiling)
+                return reached
+
+            homogeneous = all(homogeneous_degree(g) is not None for g in self.generators)
+            if self._basis is None and self.generators and homogeneous:
+                basis = buchberger(self.generators, self.order, stop=at_ceiling)
             else:
-                self._height = self.ring.nvars - self.quotient_dimension()
+                basis = self.groebner_basis()
+            if not basis:
+                self._height = 0
+            elif basis[0].degree() == 0:
+                self._height = math.inf
+            elif reached:
+                self._height = self.ceiling
+            else:
+                lts = [g.leading_monomial() for g in basis]
+                self._height = self.ring.nvars - monomial_ideal_dimension(lts, self.ring.nvars)
         return self._height
 
+    @_named
     def reduce(self, p: Polynomial) -> Polynomial:
         basis = self.groebner_basis()
         if basis and p.ring != basis[0].ring and p.ring.variables == basis[0].ring.variables:
@@ -666,7 +799,12 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
         return IdealHandle((M.ring.one(),))
     if t > min(M.m, M.n):
         return IdealHandle((), ring=M.ring)
-    return IdealHandle(_independent(enumerate_minors(M, t), M.ring), ring=M.ring)
+    # Eagon and Northcott's bound holds for every matrix; symmetric ones
+    # have the smaller bound of their kind.
+    bound_kind = MatrixKind.SYMMETRIC if M.kind is MatrixKind.SYMMETRIC else MatrixKind.ORDINARY
+    ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
+    gens = _independent(enumerate_minors(M, t), M.ring)
+    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=f"minors({t})")
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -679,7 +817,9 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if two_t > M.n:
         return IdealHandle((), ring=M.ring)
-    return IdealHandle(_independent(enumerate_pfaffians(M, two_t), M.ring), ring=M.ring)
+    gens = _independent(enumerate_pfaffians(M, two_t), M.ring)
+    ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
+    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=f"pfaffians({two_t})")
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple
 
@@ -335,7 +336,7 @@ class Polynomial:
         out: dict[Monomial, object] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
+                m = tuple(map(add, ma, mb))
                 s = ops.add(out[m], ops.mul(ca, cb)) if m in out else ops.mul(ca, cb)
                 if s == 0:
                     out.pop(m, None)

@@ -6,6 +6,7 @@ import pytest
 
 from reeskit.cli import (
     build_matrix,
+    build_parser,
     emit_problem,
     emit_report,
     load_problem,
@@ -299,6 +300,22 @@ class TestRun:
         err = capsys.readouterr().err
         assert code == 2
         assert "time limit" in err
+
+    def test_timeout_names_the_stage_and_the_ideal(self, capsys):
+        code = run(["generic", "--kind", "alternating", "--n", "6", "--t", "2", "--analyses", "height", "--timeout", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "precondition failure: Groebner computation exceeded the time limit "
+            "during height ceiling check of pfaffians(4)\n"
+        )
+
+    def test_parser_is_built_once_and_reused(self, capsys):
+        assert build_parser() is build_parser()
+        assert run(["generic", "--kind", "bogus", "--n", "2", "--t", "1"]) == 1
+        assert run(["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", "--analyses", "height"]) == 0
+        assert "  height = 2\n" in capsys.readouterr().out
+        assert run(["generic", "--kind", "symmetric", "--n", "3", "--t", "3", "--analyses", "height", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["analyses"][0]["height"] == 1
 
 
 class TestBenchmarkProblem:

@@ -23,7 +23,7 @@ from reeskit.groebner import (
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
 from reeskit.matrixalg import PolyMatrix, generic_matrix
-from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, mon_div, parse_poly
+from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
 from conftest import brute_force_dimension, random_poly
 
@@ -336,6 +336,166 @@ class TestHeight:
         assert ideal_of_minors(grev, 2).height() == ideal_of_minors(lex, 2).height() == 4
 
 
+def full_run_height(I: IdealHandle):
+    """Height from the leading terms of the complete reduced basis."""
+    basis = buchberger(I.generators, I.order)
+    if not basis:
+        return 0
+    if basis[0].degree() == 0:
+        return math.inf
+    return I.ring.nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], I.ring.nvars)
+
+
+def random_form(rng: random.Random, ring: PolyRing, degree: int):
+    """A sparse form: up to two random terms of the degree, often zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        e = [0] * ring.nvars
+        for _ in range(degree):
+            e[rng.randrange(ring.nvars)] += 1
+        terms[tuple(e)] = rng.randint(1, 9) if ring.field.p is None else rng.randrange(1, ring.field.p)
+    return Polynomial(ring, terms)
+
+
+def random_ideal(rng: random.Random, ring: PolyRing) -> IdealHandle:
+    """The ideal of minors or Pfaffians of a random sparse matrix of forms."""
+    kind = rng.choice(("ordinary", "symmetric", "alternating"))
+    degree = rng.choice((1, 1, 2))
+    n = rng.randint(2, 4) if kind != "alternating" else rng.randint(4, 6)
+    m = rng.randint(2, 4) if kind == "ordinary" else n
+    upper = {(i, j): random_form(rng, ring, degree) for i in range(m) for j in range(n)}
+    if kind == "ordinary":
+        rows = [[upper[i, j] for j in range(n)] for i in range(m)]
+    elif kind == "symmetric":
+        rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        zero = ring.zero()
+        rows = [[upper[i, j] if i < j else (-upper[j, i] if i > j else zero) for j in range(n)] for i in range(n)]
+    M = PolyMatrix(kind, rows)
+    if kind == "alternating" and rng.random() < 0.7:
+        return ideal_of_pfaffians(M, 2 * rng.randint(1, n // 2))
+    # Minors of size 4 and up of these matrices can take seconds over QQ.
+    return ideal_of_minors(M, rng.randint(1, min(m, n, 3)))
+
+
+class TestHeightCeiling:
+    """The early exit of `IdealHandle.height` at the height ceiling."""
+
+    @pytest.mark.parametrize(
+        "field,order",
+        [
+            (F32003, MonomialOrder.GREVLEX),
+            (FieldSpec.prime(2), MonomialOrder.GREVLEX),
+            (FieldSpec.rationals(), MonomialOrder.GREVLEX),
+            (F32003, MonomialOrder.LEX),
+        ],
+        ids=["gf32003", "gf2", "qq", "lex"],
+    )
+    def test_early_height_equals_the_full_run(self, field, order, monkeypatch):
+        import reeskit.groebner as groebner
+
+        reaches = groebner._reaches
+        checks = []  # per ideal, the outcomes of its ceiling checks
+
+        def spy(monomials, ceiling):
+            checks[-1].append(reaches(monomials, ceiling))
+            return checks[-1][-1]
+
+        monkeypatch.setattr(groebner, "_reaches", spy)
+        rng = random.Random(f"ceiling:{field}:{order.value}")
+        for _ in range(60):
+            ring = PolyRing(tuple(f"v{i}" for i in range(rng.randint(2, 5))), field=field, order=order)
+            I = random_ideal(rng, ring)
+            checks.append([])
+            assert I.height() == full_run_height(I), I.generators
+        # Runs stop on their generators, at a later sugar boundary, or not at all.
+        assert [True] in checks
+        assert any(c[:1] == [False] and c[-1] for c in checks)
+        assert any(c and True not in c for c in checks)
+
+    def test_inhomogeneous_unit_ideal_is_infinite(self, qq_xy):
+        # The leading term x of 1 + x alone reaches the ceiling 1 = nvars,
+        # but (1 + x, x) is the unit ideal.
+        ring = PolyRing(("x",), field=F32003)
+        x = ring.gens()[0]
+        I = ideal_of_minors(PolyMatrix("ordinary", [[ring.one() + x, x]]), 1)
+        assert I.ceiling == 1
+        assert I.height() == math.inf
+        u, v = qq_xy.gens()
+        M = PolyMatrix("ordinary", [[qq_xy.one() + u, v], [u, v * v]])
+        assert ideal_of_minors(M, 1).height() == math.inf
+
+    def test_generic_5x6_minors_reach_the_ceiling_without_s_pairs(self, monkeypatch):
+        import reeskit.groebner as groebner
+
+        def no_pairs(*args):
+            raise AssertionError("an S-pair was reduced")
+
+        monkeypatch.setattr(groebner, "_spair", no_pairs)
+        I = ideal_of_minors(generic_matrix(5, 6, "ordinary", field=F32003), 2)
+        assert (I.ceiling, I.height()) == (20, 20)
+        A = generic_matrix(9, 9, "alternating", field=F32003)
+        assert ideal_of_pfaffians(A, 4).height() == 21
+
+    def test_repeated_column_stays_below_the_ceiling(self):
+        # I_2 of a generic 5x6 matrix whose last column repeats the fifth
+        # is I_2 of a generic 5x5 matrix: height 16, never the ceiling 20.
+        M = generic_matrix(5, 6, "ordinary", field=F32003)
+        rows = [[M.entry(i, min(j, 4)) for j in range(6)] for i in range(5)]
+        I = ideal_of_minors(PolyMatrix("ordinary", rows), 2)
+        assert (I.ceiling, I.height()) == (20, 16)
+
+    def test_groebner_basis_after_an_early_height_is_reduced(self):
+        # I_2 is the square of the maximal ideal (a, b, c).  The leading
+        # terms of its six minors have height 2, so the run goes on and
+        # stops at a later sugar boundary with nine elements, not
+        # inter-reduced.
+        ring = PolyRing(("a", "b", "c"), field=F32003)
+        a, b, c = ring.gens()
+        I = ideal_of_minors(PolyMatrix("ordinary", [[a, b, c, a + b], [b, c, a + c, a]]), 2)
+        assert I.height() == I.ceiling == 3
+        basis = I.groebner_basis()
+        assert set(basis) == {a * a, a * b, b * b, a * c, b * c, c * c}
+        assert basis == buchberger(I.generators)
+        assert_is_reduced_groebner_basis(basis, I.generators)
+        assert I.height() == 3
+
+    def test_height_reuses_a_computed_basis(self, monkeypatch):
+        import reeskit.groebner as groebner
+
+        I = ideal_of_minors(generic_matrix(2, 3, "ordinary", field=F32003), 2)
+        I.groebner_basis()
+        monkeypatch.setattr(groebner, "buchberger", None)
+        assert I.height() == 2
+
+    def test_stop_is_called_on_the_generators_and_at_sugar_boundaries(self, fp_xyz):
+        x, y, z = fp_xyz.gens()
+        gens = [x * y - z * z, x * x - y * z]
+        calls = []
+
+        def never(lms):
+            calls.append(len(lms))
+            return False
+
+        basis = buchberger(gens, stop=never)
+        # The generators, then each higher sugar once new elements appeared.
+        assert calls[0] == 2 and calls == sorted(set(calls))
+        assert {g.leading_monomial() for g in buchberger(gens)} <= {g.leading_monomial() for g in basis}
+        # Stopped at once, the run returns the generators, made monic.
+        assert set(buchberger(gens, stop=lambda lms: True)) == {g.monic() for g in gens}
+
+    def test_ceilings_set_by_ideal_of_minors_and_pfaffians(self):
+        assert ideal_of_minors(generic_matrix(3, 4, "ordinary", field=F32003), 2).ceiling == 6
+        assert ideal_of_minors(generic_matrix(4, 4, "symmetric", field=F32003), 3).ceiling == 3
+        assert ideal_of_pfaffians(generic_matrix(6, 6, "alternating", field=F32003), 4).ceiling == 6
+        # Minors of an alternating matrix take the bound of every matrix.
+        assert ideal_of_minors(generic_matrix(4, 4, "alternating", field=F32003), 3).ceiling == 4
+        # No ceiling exceeds nvars.
+        ring = PolyRing(("a", "b"), field=F32003)
+        a, b = ring.gens()
+        assert ideal_of_minors(PolyMatrix("ordinary", [[a, b, a + b]] * 3), 1).ceiling == 2
+
+
 class TestIdealConventions:
     def test_minors_t_nonpositive_is_unit(self):
         M = generic_matrix(2, 3, "ordinary")
@@ -454,6 +614,27 @@ class TestTimeout:
             with time_limit(0.0):
                 time.sleep(0.001)
                 monomial_ideal_dimension(edges, 11)
+
+    def test_timeout_names_the_ideal(self):
+        M = generic_matrix(3, 3, "ordinary", field=F32003)
+        with pytest.raises(ComputationTimeout, match=r"during height ceiling check of minors\(2\)$"):
+            with time_limit(0.0):
+                ideal_of_minors(M, 2).height()
+        A = generic_matrix(6, 6, "alternating", field=F32003)
+        with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction of pfaffians\(4\)$"):
+            with time_limit(0.0):
+                ideal_of_pfaffians(A, 4).groebner_basis()
+        I = ideal_of_minors(M, 2)
+        I.groebner_basis()
+        with pytest.raises(ComputationTimeout, match=r"during dimension search of minors\(2\)$"):
+            with time_limit(0.0):
+                time.sleep(0.001)
+                I.quotient_dimension()
+        # The name is dropped again when the handle's work ends.
+        x, y, z = generic_matrix(1, 3, "ordinary", field=F32003).ring.gens()
+        with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction$"):
+            with time_limit(0.0):
+                buchberger([x * y - z * z, x * x - y * z])
 
 
 class TestLowerIdealCache:

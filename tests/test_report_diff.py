@@ -1,0 +1,43 @@
+"""Smoke tests of tools/report_diff.py, which compares the reports of two
+source trees run by run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "report_diff.py"
+
+
+def run_tool(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_the_same_tree_gives_no_diff():
+    done = run_tool(ROOT, ROOT, "--only", "sw-g-ord-2x3", "sw-cubic-analyze")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "2 runs, 0 differ\n"
+
+
+def test_a_differing_run_is_printed(tmp_path):
+    fake = tmp_path / "src" / "reeskit"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("import sys\nprint('changed')\nsys.exit(3)\n")
+    calls = tmp_path / "calls.txt"
+    calls.write_text("# a comment\n\ngeneric --kind ordinary --m 2 --n 3 --t 2 --analyses height\n")
+    done = run_tool(ROOT, tmp_path, "--only", "sw-g-ord-2x3", "--calls", calls)
+    assert done.returncode == 1
+    assert done.stdout.startswith("DIFF small-sweep/sw-g-ord-2x3: generic --kind ordinary --m 2 --n 3 --t 2\n")
+    assert "\nDIFF calls.txt:3: generic --kind ordinary --m 2 --n 3 --t 2 --analyses height\n" in done.stdout
+    assert done.stdout.count("  exit code: 0 -> 3\n") == 2
+    assert "\n  +changed\n" in done.stdout
+    assert done.stdout.endswith("2 runs, 2 differ\n")
+
+
+def test_unknown_problem_is_an_error():
+    done = run_tool(ROOT, ROOT, "--only", "no-such-problem")
+    assert done.returncode == 2
+    assert "no base problem named no-such-problem" in done.stderr
