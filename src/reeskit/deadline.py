@@ -1,0 +1,58 @@
+"""The one deadline that `--timeout` sets, read by the long-running loops.
+
+`time_limit(seconds)` bounds the work inside its block.  The loops that
+can run long (enumeration of minors and Pfaffians, the independence
+filter, Buchberger, reductions, the height ceiling check and the dimension
+search) call `check_deadline` with the name of their stage; past the
+deadline that raises ComputationTimeout naming the stage and, inside
+`ideal_named`, the ideal.  Both values are ContextVars, so threads and
+contexts do not share them.
+"""
+
+from __future__ import annotations
+
+import time
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+from .errors import ComputationTimeout
+
+_deadline: ContextVar[float | None] = ContextVar("reeskit_deadline", default=None)
+# The name of the ideal whose work is running, for timeout messages.
+_ideal_name: ContextVar[str | None] = ContextVar("reeskit_ideal_name", default=None)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Bound Groebner work inside the block; expiry raises ComputationTimeout."""
+    token = _deadline.set(time.monotonic() + seconds)
+    try:
+        yield
+    finally:
+        _deadline.reset(token)
+
+
+class ideal_named:
+    """Name the ideal (for example `minors(3)`) in timeouts inside the block.
+
+    A class, not a `contextmanager` generator, because it is entered on
+    every call of an `IdealHandle` method and the class costs less there."""
+
+    __slots__ = ("_name", "_token")
+
+    def __init__(self, name: str | None):
+        self._name = name
+
+    def __enter__(self):
+        self._token = _ideal_name.set(self._name)
+
+    def __exit__(self, *exc):
+        _ideal_name.reset(self._token)
+
+
+def check_deadline(stage: str):
+    limit = _deadline.get()
+    if limit is not None and time.monotonic() > limit:
+        name = _ideal_name.get()
+        where = stage if name is None else f"{stage} of {name}"
+        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {where}")

@@ -50,17 +50,14 @@ on exponent tuples.
 
 Krull dimension of a quotient by a monomial ideal is the size of the
 largest variable subset that contains no generator's support, that is
-nvars minus the size of a smallest set of variables hitting every support
-(Kredel and Weispfenning, 1988).  The search keeps each support as an int
-bitmask, drops supports that contain another, and branches on the
-variables of a smallest uncovered support.  It prunes a node when the
-variables chosen so far plus a greedy count of pairwise-disjoint uncovered
-supports reach the best cover found.  Pairwise-disjoint supports share no
-variable, so each needs a cover variable of its own: the count is a lower
-bound on what any cover below the node still adds, and the search never
-prunes an optimum.  Height of an arbitrary ideal is nvars minus the
-dimension of its leading-term ideal, which is valid because passing to the
-leading-term ideal is a flat degeneration over a polynomial ring.
+nvars minus the height: the size of a smallest set of variables hitting
+every support.  `_support_height` computes it exactly on the minimal
+supports as int bitmasks, by a memoized recursion that adds over sets of
+supports with disjoint variables and pivots a connected set on its most
+frequent variable (Bayer and Stillman, 1992); its docstring has the proof.
+Height of an arbitrary ideal is nvars minus the dimension of its
+leading-term ideal, which is valid because passing to the leading-term
+ideal is a flat degeneration over a polynomial ring.
 
 Heights stop early at a ceiling.  `IdealHandle.height` of an ideal I with
 homogeneous generators of positive degree runs Buchberger with a stop
@@ -84,10 +81,9 @@ if they do.  The answer is then exactly c:
 * So c <= ht J <= ht I <= c.  When the run completes without reaching c,
   the height comes from the full leading-term ideal as above.
 
-The check asks only whether every set of fewer than c variables misses
-some support: the dimension search with the best cover set to c, stopped
-at the first smaller cover.  The height path also skips the inter-
-reduction, since the leading terms of any Groebner basis generate in(I).
+The check computes ht J by the same recursion as the dimension search
+and compares it with c.  The height path also skips the inter-reduction,
+since the leading terms of any Groebner basis generate in(I).
 Inhomogeneous generators may span the unit ideal, so they take the full
 run.
 
@@ -96,25 +92,22 @@ independent, in selector order: the rest lie in their span and add nothing
 to the ideal.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
-runs can be bounded with `time_limit`; the deadline is checked in the
-Buchberger main loop, in reductions, in the ceiling check and in the
-dimension search, and expiry raises ComputationTimeout naming the stage it
-stopped in and, for an ideal of minors or Pfaffians, the ideal.
+runs can be bounded with `time_limit` (module `deadline`, which lists the
+stages that read the clock); expiry raises ComputationTimeout naming the
+stage it stopped in and, for an ideal of minors or Pfaffians, the ideal.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
-from contextlib import contextmanager
-from contextvars import ContextVar
 from heapq import heapify, heappop, heappush
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Callable, Iterable, Sequence
 
-from .errors import ComputationTimeout, DomainError, GenericHeightError, KindShapeError, RingMismatchError
+from .deadline import check_deadline, ideal_named, time_limit  # noqa: F401  (time_limit re-exported)
+from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatchError
 from .matrixalg import MatrixKind, PolyMatrix, enumerate_minors, enumerate_pfaffians
 from .poly import (
     FieldSpec,
@@ -127,30 +120,8 @@ from .poly import (
     mon_lcm,
 )
 
-_deadline: ContextVar[float | None] = ContextVar("reeskit_deadline", default=None)
-# The name of the ideal whose work is running, for timeout messages.
-_ideal_name: ContextVar[str | None] = ContextVar("reeskit_ideal_name", default=None)
-
 # Reductions read the clock once per this many terms taken.
 _DEADLINE_EVERY_STEPS = 256
-
-
-@contextmanager
-def time_limit(seconds: float):
-    """Bound Groebner work inside the block; expiry raises ComputationTimeout."""
-    token = _deadline.set(time.monotonic() + seconds)
-    try:
-        yield
-    finally:
-        _deadline.reset(token)
-
-
-def _check_deadline(stage: str):
-    limit = _deadline.get()
-    if limit is not None and time.monotonic() > limit:
-        name = _ideal_name.get()
-        where = stage if name is None else f"{stage} of {name}"
-        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {where}")
 
 
 def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[list[Polynomial], PolyRing]:
@@ -334,7 +305,7 @@ def _reduce(work: dict, reducers: list[tuple], packing: MonomialPacking, modulus
             continue
         steps += 1
         if steps % _DEADLINE_EVERY_STEPS == 0:
-            _check_deadline(stage)
+            check_deadline(stage)
         for lmk, hull, monos, coeffs in reducers:
             q = m - lmk
             if q & guard:
@@ -460,7 +431,7 @@ def _buchberger(
             push_pairs(j)
 
     while heap:
-        _check_deadline(stage)
+        check_deadline(stage)
         if stop is not None and heap[0][0] > level and len(reducers) > checked:
             checked = len(reducers)
             if stop(lms):
@@ -553,30 +524,27 @@ _DEADLINE_EVERY_NODES = 256
 def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     """Krull dimension of the quotient by the monomial ideal.
 
-    Equals the size of the largest variable subset S such that no
-    generator's support lies inside S; computed as nvars minus a minimum
-    hitting set of the supports.  Returns nvars for the zero ideal and -1
-    when a generator is constant (zero ring).
+    Equals the size of the largest variable subset containing no
+    generator's support: nvars minus the size of a smallest set of
+    variables hitting every support (`_support_height`).  Returns nvars for
+    the zero ideal and -1 when a generator is constant (zero ring).
     """
     supports = _minimal_supports(monomials)
     if supports is None:
         return -1
-    # All variables hit every support, so nvars bounds the cover size.
-    return nvars - _cover_size(supports, nvars, "dimension search")
+    return nvars - _support_height(supports, "dimension search")
 
 
 def _reaches(monomials: Iterable[Monomial], ceiling: int) -> bool:
-    """Does the ideal of these nonconstant monomials have height at least
-    `ceiling`, that is, does every cover of their supports take at least
-    `ceiling` variables?"""
+    """Has the ideal of these nonconstant monomials height >= `ceiling`?"""
     stage = "height ceiling check"
-    _check_deadline(stage)
-    return _cover_size(_minimal_supports(monomials), ceiling, stage, exact=False) >= ceiling
+    check_deadline(stage)
+    return _support_height(_minimal_supports(monomials), stage) >= ceiling
 
 
 def _minimal_supports(monomials: Iterable[Monomial]) -> list[int] | None:
     """The supports that contain no other, as int bitmasks (bit i for
-    variable i) in ascending size; None when a monomial is constant."""
+    variable i); None when a monomial is constant."""
     masks: set[int] = set()
     for m in monomials:
         mask = 0
@@ -586,53 +554,83 @@ def _minimal_supports(monomials: Iterable[Monomial]) -> list[int] | None:
         masks.add(mask)
     if 0 in masks:
         return None
-    # Drop supersets: hitting a minimal support hits its supersets.  The
-    # rest stay in ascending size, so the first uncovered one is smallest.
+    # Drop supersets: hitting a minimal support hits its supersets.
     minimal: list[int] = []
-    for s in sorted(masks, key=lambda s: (s.bit_count(), s)):
+    for s in sorted(masks, key=int.bit_count):
         if not any(t & s == t for t in minimal):
             minimal.append(s)
     return minimal
 
 
-def _cover_size(supports: list[int], limit: int, stage: str, exact: bool = True) -> int:
-    """The size of a smallest set of variables hitting every support when
-    that is below `limit`, else `limit`.  With exact=False the search ends
-    at the first cover below `limit`, whose size is returned.
+def _support_height(supports: list[int], stage: str) -> int:
+    """The size of a smallest set of variables hitting every one of the
+    minimal, nonempty supports: the height of the squarefree monomial
+    ideal they generate.
 
-    Every cover contains a variable of each support, so branching on the
-    variables of one uncovered support misses no cover; the pruning bound
-    and why it is exact are in the module docstring.
+    Sets of supports sharing no variable add, and a single support has
+    height 1.  A connected set of two or more supports pivots on its most
+    frequent variable x (Bayer and Stillman's splitting, with min in place
+    of the Hilbert numerator):
+
+        ht J = min(1 + ht(supports avoiding x), ht(minimal {s minus x})).
+
+    A smallest cover either contains x, and then the rest of it covers the
+    supports that avoid x, or it does not, and then it hits every s minus
+    x.  No s minus x is empty: no other minimal support holds the variable
+    of a singleton, so a singleton forms a set of its own.  For s, s'
+    holding x, s minus x inside s' minus x would put s inside s', so only
+    a support avoiding x can stop being minimal.  Both sides drop x, so the
+    recursion is at most nvars deep; heights are memoized for one call.
     """
-    best = limit
-    expanded = 0
+    memo: dict[frozenset, int] = {}
+    nodes = 0
 
-    def search(uncovered: list[int], chosen: int) -> bool:
-        """Improves `best` below this node; True ends the whole search."""
-        nonlocal best, expanded
-        disjoint, used = 0, 0
-        for s in uncovered:
-            if not s & used:
-                used |= s
-                disjoint += 1
-        if chosen + disjoint >= best:
-            return False
-        if not uncovered:
-            best = chosen
-            return not exact
-        if expanded % _DEADLINE_EVERY_NODES == 0:
-            _check_deadline(stage)
-        expanded += 1
-        pivot = uncovered[0]
-        while pivot:
-            bit = pivot & -pivot
-            pivot ^= bit
-            if search([s for s in uncovered if not s & bit], chosen + 1):
-                return True
-        return False
+    def height(supports: list[int]) -> int:
+        nonlocal nodes
+        if functools.reduce(or_, supports, 0).bit_count() == sum(map(int.bit_count, supports)):
+            return len(supports)  # no two share a variable
+        total = 0
+        while supports:
+            # Grow the connected component of the first support.
+            joined, size = supports[0], 0
+            while True:
+                members = [s for s in supports if s & joined]
+                if len(members) == size:
+                    break
+                size = len(members)
+                for s in members:
+                    joined |= s
+            supports = [s for s in supports if not s & joined]
+            if size <= 2:  # one support, or two sharing a variable
+                total += 1
+                continue
+            key = frozenset(members)
+            h = memo.get(key)
+            if h is None:
+                if nodes % _DEADLINE_EVERY_NODES == 0:
+                    check_deadline(stage)
+                nodes += 1
+                counts: dict[int, int] = {}
+                for s in members:
+                    while s:
+                        bit = s & -s
+                        s ^= bit
+                        counts[bit] = counts.get(bit, 0) + 1
+                x = max(counts.items(), key=itemgetter(1))[0]
+                avoiding = [s for s in members if not s & x]
+                shrunk = [s ^ x for s in members if s & x]
+                # The singletons among the s minus x are forced into the
+                # cover; drop the supports avoiding x that hold some s minus x.
+                wide = [s for s in shrunk if s & (s - 1)]
+                single = functools.reduce(or_, [s for s in shrunk if not s & (s - 1)], 0)
+                kept = [a for a in avoiding if not a & single and not any(s & a == s for s in wide)]
+                # With no support avoiding x, {x} is a cover, and none is smaller.
+                h = min(1 + height(avoiding), single.bit_count() + height(wide + kept)) if avoiding else 1
+                memo[key] = h
+            total += h
+        return total
 
-    search(supports, 0)
-    return best
+    return height(supports)
 
 
 def _named(method):
@@ -640,11 +638,8 @@ def _named(method):
 
     @functools.wraps(method)
     def wrapper(self, *args):
-        token = _ideal_name.set(self.name)
-        try:
+        with ideal_named(self.name):
             return method(self, *args)
-        finally:
-            _ideal_name.reset(token)
 
     return wrapper
 
@@ -775,6 +770,7 @@ def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial
     pivots: dict[Monomial, dict] = {}
     kept = []
     for p in polys:
+        check_deadline("independence filter")
         row = dict(p.terms)
         while row:
             lead = max(row)
@@ -803,8 +799,10 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     # have the smaller bound of their kind.
     bound_kind = MatrixKind.SYMMETRIC if M.kind is MatrixKind.SYMMETRIC else MatrixKind.ORDINARY
     ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
-    gens = _independent(enumerate_minors(M, t), M.ring)
-    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=f"minors({t})")
+    name = f"minors({t})"
+    with ideal_named(name):
+        gens = _independent(enumerate_minors(M, t), M.ring)
+    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=name)
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -817,9 +815,11 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if two_t > M.n:
         return IdealHandle((), ring=M.ring)
-    gens = _independent(enumerate_pfaffians(M, two_t), M.ring)
+    name = f"pfaffians({two_t})"
+    with ideal_named(name):
+        gens = _independent(enumerate_pfaffians(M, two_t), M.ring)
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
-    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=f"pfaffians({two_t})")
+    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=name)
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:

@@ -4,15 +4,16 @@ A PolyMatrix carries one of three kinds.  Symmetric and alternating matrices
 are validated entrywise at construction; the common homogeneous entry degree
 (when it exists) is computed once and cached.
 
-Determinants switch from cofactor expansion to fraction-free (Bareiss)
-elimination at size 5; both algorithms stay public so they can serve as each
-other's oracle.  An enumeration of minors instead expands each along its
-first row, with a memo over (rows, cols) pairs shared by the whole
-enumeration: on polynomial entries that is far cheaper than Bareiss's exact
-divisions.  Pfaffians use the first-row Laplace expansion with a shared
-memo over index subsets, and the Pfaffian adjoint is the alternating matrix
-whose (i, j) entry, i < j, is (-1)^(i+j) times the Pfaffian of the matrix
-with rows and columns i, j deleted; it satisfies pfadj(M)*M = Pf(M)*I.
+Determinants, adjoints and enumerations of minors expand along the first
+row, with a memo over (rows, cols) pairs shared by the whole computation:
+on polynomial entries that is far cheaper than Bareiss's exact divisions.
+Only a scalar matrix above 4x4 takes fraction-free (Bareiss) elimination.
+Plain cofactor expansion and Bareiss both stay public so they can serve as
+each other's oracle.  Pfaffians use the first-row Laplace expansion with a
+shared memo over index subsets, and the Pfaffian adjoint is the alternating
+matrix whose (i, j) entry, i < j, is (-1)^(i+j) times the Pfaffian of the
+matrix with rows and columns i, j deleted; it satisfies
+pfadj(M)*M = Pf(M)*I.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .deadline import check_deadline
 from .errors import DomainError, ExactDivisionError, KindShapeError
 from .poly import (
     ALL_DEGREES,
@@ -281,12 +283,24 @@ def det_bareiss(M: PolyMatrix) -> Polynomial:
     return _det_bareiss_grid(M.grid(), M.ring)
 
 
+def _by_expansion(M: PolyMatrix, size: int) -> bool:
+    """Should size x size determinants of M expand along the first row
+    (`_minor`) rather than eliminate (Bareiss)?  Yes up to 4x4, and for
+    any size once an entry is a non-constant polynomial: there Bareiss's
+    exact divisions cost far more than the memoized expansion."""
+    return size <= 4 or any(e.degree() for row in M.rows for e in row)
+
+
 def determinant(M: PolyMatrix) -> Polynomial:
-    """Exact determinant: cofactor expansion up to 4x4, Bareiss above."""
+    """Exact determinant: Bareiss elimination for a scalar matrix above
+    4x4, the memoized first-row expansion otherwise."""
     if M.m != M.n:
         raise KindShapeError(f"determinant needs a square matrix, got {M.m}x{M.n}")
-    if M.n <= 4:
-        return _det_cofactor_grid(M.grid(), M.ring)
+    if M.n == 0:
+        return M.ring.one()
+    if _by_expansion(M, M.n):
+        full = tuple(range(M.n))
+        return _minor(M, full, full, {})
     return _det_bareiss_grid(M.grid(), M.ring)
 
 
@@ -300,13 +314,18 @@ def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(MatrixKind.ORDINARY, (), ring=ring)
     if n == 1:
         return PolyMatrix(MatrixKind.ORDINARY, [[ring.one()]], ring=ring)
+    expand = _by_expansion(M, n - 1)
+    memo: dict = {}
     grid = M.grid()
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             # adj entry (i, j) is the (j, i) cofactor.
-            minor = [row[:i] + row[i + 1 :] for r, row in enumerate(grid) if r != j]
-            cof = _det_cofactor_grid(minor, ring) if n - 1 <= 4 else _det_bareiss_grid(minor, ring)
+            if expand:
+                rows = tuple(r for r in range(n) if r != j)
+                cof = _minor(M, rows, tuple(c for c in range(n) if c != i), memo)
+            else:
+                cof = _det_bareiss_grid([row[:i] + row[i + 1 :] for r, row in enumerate(grid) if r != j], ring)
             out[i][j] = -cof if (i + j) % 2 else cof
     return PolyMatrix(MatrixKind.ORDINARY, out, ring=ring)
 
@@ -405,7 +424,12 @@ def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
     memo: dict = {}
-    return [_minor(M, r, c, memo) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
+    minors = []
+    for r, c in minor_selectors(M.m, M.n, t):
+        if r <= c or not symmetric:
+            check_deadline("minor enumeration")
+            minors.append(_minor(M, r, c, memo))
+    return minors
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:
@@ -417,4 +441,8 @@ def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:
     if not 2 <= two_t <= M.n:
         raise DomainError(f"pfaffian size {two_t} out of range for a {M.n}x{M.n} matrix")
     memo: dict = {}
-    return [_pfaffian_indices(M, idx, memo) for idx in combinations(range(M.n), two_t)]
+    pfaffians = []
+    for idx in combinations(range(M.n), two_t):
+        check_deadline("Pfaffian enumeration")
+        pfaffians.append(_pfaffian_indices(M, idx, memo))
+    return pfaffians

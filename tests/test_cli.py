@@ -306,7 +306,7 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == (
             "precondition failure: Groebner computation exceeded the time limit "
-            "during height ceiling check of pfaffians(4)\n"
+            "during Pfaffian enumeration of pfaffians(4)\n"
         )
 
     def test_parser_is_built_once_and_reused(self, capsys):

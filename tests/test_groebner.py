@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import reeskit.groebner as groebner
 from reeskit.errors import ComputationTimeout, DomainError
 from reeskit.groebner import (
     IdealHandle,
@@ -22,7 +23,7 @@ from reeskit.groebner import (
     time_limit,
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
-from reeskit.matrixalg import PolyMatrix, generic_matrix
+from reeskit.matrixalg import PolyMatrix, enumerate_minors, generic_matrix
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
 from conftest import brute_force_dimension, random_poly
@@ -260,6 +261,33 @@ class TestMonomialDimension:
                 continue
             assert monomial_ideal_dimension(mons, nvars) == brute_force_dimension(mons, nvars)
 
+    @staticmethod
+    def random_monomials(rng):
+        """Up to 12 variables and 20 nonconstant monomials, supports of every size."""
+        nvars = rng.randint(1, 12)
+        density = rng.uniform(0.1, 0.6)
+        mons = [
+            tuple(rng.randint(1, 2) if rng.random() < density else 0 for _ in range(nvars))
+            for _ in range(rng.randint(1, 20))
+        ]
+        return nvars, [m for m in mons if any(m)]
+
+    def test_brute_force_agreement_up_to_12_variables(self):
+        rng = random.Random(61012)
+        for _ in range(300):
+            nvars, mons = self.random_monomials(rng)
+            assert monomial_ideal_dimension(mons, nvars) == brute_force_dimension(mons, nvars), mons
+
+    def test_reaches_agrees_with_brute_force(self):
+        rng = random.Random(61013)
+        for _ in range(300):
+            nvars, mons = self.random_monomials(rng)
+            if not mons:
+                continue
+            ht = nvars - brute_force_dimension(mons, nvars)
+            for ceiling in (ht - 1, ht, ht + 1):
+                assert groebner._reaches(mons, ceiling) == (ht >= ceiling), (mons, ceiling)
+
     def test_constant_generator_gives_the_zero_ring(self):
         assert monomial_ideal_dimension([(0, 0, 0), (1, 0, 0)], 3) == -1
 
@@ -412,6 +440,16 @@ class TestHeightCeiling:
         assert [True] in checks
         assert any(c[:1] == [False] and c[-1] for c in checks)
         assert any(c and True not in c for c in checks)
+
+    @pytest.mark.parametrize("m,n,ceiling", [(5, 8, 18), (6, 7, 20)])
+    def test_generators_reach_large_ceilings_quickly(self, m, n, ceiling):
+        # Generic 5x8 and 6x7 I_3: the leading terms of the minors alone
+        # reach the ceiling.  A branch-and-bound search for a smaller cover
+        # takes from about 40 s to over a minute on these.
+        I = ideal_of_minors(generic_matrix(m, n, "ordinary", field=F32003), 3)
+        assert I.ceiling == ceiling
+        with time_limit(10):
+            assert groebner._reaches([g.leading_monomial() for g in I.generators], ceiling)
 
     def test_inhomogeneous_unit_ideal_is_infinite(self, qq_xy):
         # The leading term x of 1 + x alone reaches the ceiling 1 = nvars,
@@ -581,16 +619,25 @@ class TestTimeout:
             pass
         assert set(buchberger([x, y])) == {x, y}
 
-    def test_time_limit_bounds_the_dimension_search(self):
-        # The edge ideal of the complete graph on 11 vertices: the search
-        # expands several times the 256 nodes between two clock reads.
-        n = 11
-        edges = []
-        for i, j in combinations(range(n), 2):
-            e = [0] * n
-            e[i] = e[j] = 1
-            edges.append(tuple(e))
-        assert monomial_ideal_dimension(edges, n) == 1
+    @staticmethod
+    def random_edge_ideal():
+        """A seeded random graph on 45 vertices with 197 edges, whose edge
+        ideal the dimension search solves in more than 1024 branching nodes;
+        the independence number 15 was confirmed by a branch-and-bound
+        cover search."""
+        n = 45
+        rng = random.Random(0)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.2]
+        return n, TestMonomialDimension.edge_ideal(n, edges)
+
+    def test_time_limit_bounds_the_dimension_search(self, monkeypatch):
+        n, edges = self.random_edge_ideal()
+        reads = []
+        monkeypatch.setattr(groebner, "check_deadline", reads.append)
+        assert len(edges) == 197 and monomial_ideal_dimension(edges, n) == 15
+        # The first branching node reads the clock, and so does every 256th.
+        assert reads == ["dimension search"] * 5
+        monkeypatch.undo()
         with pytest.raises(ComputationTimeout):
             with time_limit(0.0):
                 time.sleep(0.001)
@@ -609,21 +656,38 @@ class TestTimeout:
         with pytest.raises(ComputationTimeout, match="during normal form reduction"):
             with time_limit(0.0):
                 normal_form(many, [z])
-        edges = TestMonomialDimension.edge_ideal(11, combinations(range(11), 2))
+        n, edges = self.random_edge_ideal()
         with pytest.raises(ComputationTimeout, match="during dimension search"):
             with time_limit(0.0):
                 time.sleep(0.001)
-                monomial_ideal_dimension(edges, 11)
+                monomial_ideal_dimension(edges, n)
+        M = generic_matrix(3, 3, "ordinary", field=F32003)
+        with pytest.raises(ComputationTimeout, match="during minor enumeration$"):
+            with time_limit(0.0):
+                enumerate_minors(M, 2)
+        minors = enumerate_minors(M, 2)
+        with pytest.raises(ComputationTimeout, match="during independence filter$"):
+            with time_limit(0.0):
+                groebner._independent(minors, M.ring)
 
     def test_timeout_names_the_ideal(self):
         M = generic_matrix(3, 3, "ordinary", field=F32003)
+        with pytest.raises(ComputationTimeout, match=r"during minor enumeration of minors\(2\)$"):
+            with time_limit(0.0):
+                ideal_of_minors(M, 2)
+        # Enumeration reads the clock first, so the ideals are built outside the limit.
+        minors = ideal_of_minors(M, 2)
         with pytest.raises(ComputationTimeout, match=r"during height ceiling check of minors\(2\)$"):
             with time_limit(0.0):
-                ideal_of_minors(M, 2).height()
+                minors.height()
         A = generic_matrix(6, 6, "alternating", field=F32003)
+        with pytest.raises(ComputationTimeout, match=r"during Pfaffian enumeration of pfaffians\(4\)$"):
+            with time_limit(0.0):
+                ideal_of_pfaffians(A, 4)
+        pfaffians = ideal_of_pfaffians(A, 4)
         with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction of pfaffians\(4\)$"):
             with time_limit(0.0):
-                ideal_of_pfaffians(A, 4).groebner_basis()
+                pfaffians.groebner_basis()
         I = ideal_of_minors(M, 2)
         I.groebner_basis()
         with pytest.raises(ComputationTimeout, match=r"during dimension search of minors\(2\)$"):

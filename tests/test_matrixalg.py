@@ -21,6 +21,8 @@ from reeskit.matrixalg import (
 )
 from reeskit.poly import FieldSpec, PolyRing, parse_poly
 
+from conftest import random_poly
+
 F32003 = FieldSpec.prime(32003)
 
 
@@ -167,6 +169,23 @@ class TestDeterminant:
             grid[n - 1] = list(grid[0])
             assert determinant(PolyMatrix("ordinary", grid, ring=scalar_ring)).is_zero
 
+    def test_polynomial_entries_match_cofactor_expansion(self, any_field):
+        # Above 4x4, a matrix with a non-constant entry takes the memoized
+        # first-row expansion instead of Bareiss.
+        M = generic_matrix(5, 5, "symmetric", field=any_field)
+        assert determinant(M) == det_cofactor(M)
+        rng = random.Random(4242)
+        ring = PolyRing(("x", "y"), field=any_field)
+        for n in (5, 5, 6):
+            # Mostly constants, so that one non-constant entry decides.
+            grid = [
+                [random_poly(rng, ring, max_terms=2, max_exp=int(rng.random() < 0.3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert any(e.degree() for row in grid for e in row)
+            M = PolyMatrix("ordinary", grid)
+            assert determinant(M) == det_cofactor(M)
+
     def test_bareiss_needs_pivot_search(self, qq_xy):
         # leading zero pivot forces a row swap
         x, y = qq_xy.gens()
@@ -200,6 +219,17 @@ class TestClassicalAdjoint:
         for i in range(4):
             for j in range(4):
                 assert prod[i][j] == (det if i == j else M.ring.zero())
+
+    def test_defining_identity_polynomial_6x6(self):
+        # 5x5 cofactors of a polynomial matrix take the shared expansion memo.
+        rng = random.Random(23)
+        ring = PolyRing(("x", "y"), field=F32003)
+        M = PolyMatrix("ordinary", [[random_poly(rng, ring, max_terms=2, max_exp=1) for _ in range(6)] for _ in range(6)])
+        det = det_cofactor(M)
+        prod = matmul(classical_adjoint(M), M)
+        for i in range(6):
+            for j in range(6):
+                assert prod[i][j] == (det if i == j else ring.zero())
 
     def test_defining_identity_random_5x5(self, scalar_ring):
         rng = random.Random(17)
