@@ -104,7 +104,7 @@ def _parse_field_value(value, key: str) -> FieldSpec:
             return FieldSpec.rationals()
         if kind == "prime-field":
             p = value.get("p")
-            if not isinstance(p, int):
+            if type(p) is not int:
                 raise SchemaError("prime-field needs an integer 'p'", key=f"{key}.p")
             return FieldSpec.prime(p)
         raise SchemaError(f"unrecognized field kind {kind!r}", key=f"{key}.kind")
@@ -116,13 +116,13 @@ def _parse_s_value(value, key: str):
         return "inf"
     if isinstance(value, str) and value.isdigit():
         value = int(value)
-    if isinstance(value, int) and value >= 1:
+    if type(value) is int and value >= 1:
         return value
     raise SchemaError(f"s must be a positive integer or 'inf', got {value!r}", key=key)
 
 
 def _parse_k_value(value, key: str) -> tuple[int, int]:
-    if isinstance(value, int):
+    if type(value) is int:
         lo = hi = value
     elif isinstance(value, str) and ".." in value:
         a, _, b = value.partition("..")
@@ -161,7 +161,7 @@ def load_problem(source) -> ProblemFile:
     for key in doc:
         if key not in known:
             raise SchemaError("unknown key", key=key)
-    if doc.get("format") != 1:
+    if doc.get("format") != 1 or doc["format"] is True:
         raise SchemaError("missing or unsupported format version (expected format: 1)", key="format")
     field_spec = _parse_field_value(doc["field"], "field") if "field" in doc else None
     variables = doc.get("variables")
@@ -188,7 +188,7 @@ def load_problem(source) -> ProblemFile:
     if width == 0 or any(len(row) != width for row in entries):
         raise SchemaError("entries grid must be rectangular and non-empty", key="matrix.entries")
     t = doc.get("t")
-    if not isinstance(t, int):
+    if type(t) is not int:
         raise SchemaError("t must be an integer", key="t")
     requested: list[Request] = []
     raw_requests = doc.get("requested", [])
@@ -203,6 +203,9 @@ def load_problem(source) -> ProblemFile:
         name = item.get("analysis")
         if name not in _FILE_ANALYSES:
             raise SchemaError(f"unknown analysis {name!r}", key=f"{key}.analysis")
+        for extra in item:
+            if extra not in ("analysis", {"gs": "s", "bounds": "k"}.get(name)):
+                raise SchemaError("unknown key", key=f"{key}.{extra}")
         req = Request(analysis=name)
         if name == "gs":
             req = Request(analysis=name, s=_parse_s_value(item.get("s", "inf"), f"{key}.s"))

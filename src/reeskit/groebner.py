@@ -33,9 +33,13 @@ in range and lend nothing, so it holds a value in [-C, -1] (lex) or
 behave alike, since `&` reads them in two's complement.  So one subtraction
 and a guard mask decide divisibility exactly, and the subtraction is the
 quotient.  A product is read the same way: a field sums to a_i + b_i
-(lex) or C - a_i - b_i (grevlex), and the least significant one above C
-sets its guard bit, so an exponent past the width raises PackingOverflow
-instead of wrapping.  The entry points then retry with twice the width.
+(lex) or C - a_i - b_i (grevlex).  With no exponent sum above C every
+field lies in [0, C] and no guard bit is set; otherwise the least
+significant field whose sum passes C sets its guard bit.  So one rule
+covers every product: a guard bit set is an overflow.  `mul`, `_reduce`
+and `_spair` raise PackingOverflow by it on the products they form, as
+`pack` does for an exponent above C, and the entry points restart from
+their `Polynomial` inputs with twice the width.
 
 Reduction keeps the pending terms in a max-heap of negated ints with lazy
 deletion: a term that cancels leaves its heap entry behind, and an entry
@@ -101,6 +105,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import itemgetter, or_
@@ -153,6 +158,9 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
 
 class PackingOverflow(DomainError):
     """An exponent does not fit the field width of a MonomialPacking."""
+
+
+_PRODUCT_OVERFLOW = "a product exponent exceeds the packed width"
 
 
 class MonomialPacking:
@@ -210,7 +218,7 @@ class MonomialPacking:
         """The packed product; raises PackingOverflow past the width."""
         r = a + b - self.offset
         if r & self.guard:
-            raise PackingOverflow(f"a product exponent exceeds the packed maximum {self.max_exponent}")
+            raise PackingOverflow(_PRODUCT_OVERFLOW)
         return r
 
     def div(self, a: int, b: int) -> int | None:
@@ -262,23 +270,19 @@ def _monic(poly: dict, field: FieldSpec) -> dict:
 
 def _reducer(poly: dict, packing: MonomialPacking) -> tuple:
     """A monic packed polynomial as `_reduce` reads it, the one form in
-    which a basis is kept: (P(lm) - K, P(hull), [P(t) - K for the tail terms
-    t], [their coefficients]), the tail in descending order.
+    which a basis is kept: (P(lm) - K, [P(t) - K for the tail terms t],
+    [their coefficients]), the tail in descending order.
 
     For a term m, q = m - (P(lm) - K) is the quotient m / lm, and
-    q + (P(t) - K) is the product q*t.  The hull takes the largest exponent
-    of each variable over the terms, so q times the hull bounds every such
-    product."""
+    q + (P(t) - K) is the product q*t, an overflow when a guard bit is set."""
     terms = sorted(poly, reverse=True)
-    exponents = [packing.unpack(m) for m in terms]
-    hull = packing.pack(tuple(map(max, *exponents)) if len(exponents) > 1 else exponents[0])
     k = packing.offset
-    return terms[0] - k, hull, [m - k for m in terms[1:]], [poly[m] for m in terms[1:]]
+    return terms[0] - k, [m - k for m in terms[1:]], [poly[m] for m in terms[1:]]
 
 
 def _polynomial(reducer: tuple, packing: MonomialPacking, one) -> dict:
     """The packed polynomial a `_reducer` stands for; `one` is the field's 1."""
-    lmk, _, monos, coeffs = reducer
+    lmk, monos, coeffs = reducer
     k = packing.offset
     poly = {lmk + k: one}
     poly.update(zip([m + k for m in monos], coeffs))
@@ -291,7 +295,8 @@ def _reduce(work: dict, reducers: list[tuple], packing: MonomialPacking, modulus
 
     The loop takes the greatest pending term and subtracts the multiple of
     the first reducer whose leading term divides it, or moves it to the
-    remainder when none does.
+    remainder when none does.  A product is guard-tested when it becomes a
+    pending term; one that meets a pending term equals a guard-clear int.
     """
     guard = packing.guard
     heap = [-m for m in work]
@@ -306,16 +311,17 @@ def _reduce(work: dict, reducers: list[tuple], packing: MonomialPacking, modulus
         steps += 1
         if steps % _DEADLINE_EVERY_STEPS == 0:
             check_deadline(stage)
-        for lmk, hull, monos, coeffs in reducers:
+        for lmk, monos, coeffs in reducers:
             q = m - lmk
             if q & guard:
                 continue
-            packing.mul(q, hull)
             f = -c
             for tk, tc in zip(monos, coeffs):
                 mm = q + tk
                 v = work.get(mm)
                 if v is None:
+                    if mm & guard:
+                        raise PackingOverflow(_PRODUCT_OVERFLOW)
                     work[mm] = f * tc % modulus
                     heappush(heap, -mm)
                 else:
@@ -472,12 +478,15 @@ def _buchberger(
 def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> dict:
     """The S-polynomial of two monic reducers with the given packed lcm: the
     tails of lcm/lm_a * a minus lcm/lm_b * b (the leading terms cancel)."""
+    guard = packing.guard
     qa, qb = lcm - a[0], lcm - b[0]
-    packing.mul(qa, a[1])
-    packing.mul(qb, b[1])
-    work = {qa + tk: c for tk, c in zip(a[2], a[3])}
-    for tk, c in zip(b[2], b[3]):
+    work = {qa + tk: c for tk, c in zip(a[1], a[2])}
+    if any(m & guard for m in work):
+        raise PackingOverflow(_PRODUCT_OVERFLOW)
+    for tk, c in zip(b[1], b[2]):
         m = qb + tk
+        if m & guard:
+            raise PackingOverflow(_PRODUCT_OVERFLOW)
         v = (work.get(m, 0) - c) % modulus
         if v:
             work[m] = v
@@ -685,9 +694,6 @@ class IdealHandle:
             self._basis = buchberger(self.generators, self.order) if self.generators else ()
         return self._basis
 
-    def lt_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(g.leading_monomial() for g in self.groebner_basis())
-
     def is_unit(self) -> bool:
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].degree() == 0
@@ -702,7 +708,8 @@ class IdealHandle:
             return self.ring.nvars
         if self.is_unit():
             return -1
-        return monomial_ideal_dimension(self.lt_monomials(), self.ring.nvars)
+        lts = [g.leading_monomial() for g in self.groebner_basis()]
+        return monomial_ideal_dimension(lts, self.ring.nvars)
 
     @_named
     def height(self):
@@ -742,9 +749,6 @@ class IdealHandle:
             # The handle carries an explicit order; move p into that ring.
             p = Polynomial(basis[0].ring, p.terms)
         return normal_form(p, basis)
-
-    def contains(self, p: Polynomial) -> bool:
-        return self.reduce(p).is_zero
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.generators)} generators over {self.ring})"
@@ -838,23 +842,18 @@ def expected_generic_height(kind, m: int, n: int, t: int) -> int:
     return comb(n - t + 2, 2)
 
 
+@dataclass(frozen=True)
 class GenericHeightReport:
     """Outcome of the generic-height test: actual vs the maximal height."""
 
-    __slots__ = ("ok", "actual", "expected", "kind", "t")
-
-    def __init__(self, ok: bool, actual, expected: int, kind: MatrixKind, t: int):
-        self.ok = ok
-        self.actual = actual
-        self.expected = expected
-        self.kind = kind
-        self.t = t
+    ok: bool
+    actual: object  # int or math.inf
+    expected: int
+    kind: MatrixKind
+    t: int
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return f"GenericHeightReport(ok={self.ok}, actual={self.actual}, expected={self.expected})"
 
 
 def is_generic_height(M: PolyMatrix, t: int) -> GenericHeightReport:
@@ -877,10 +876,9 @@ class LowerIdealCache:
 
     def __init__(self, M: PolyMatrix):
         self.M = M
-        self._minor: dict[int, object] = {}
-        self._pf: dict[int, object] = {}
-        # (family, size) -> number of linearly independent minors or
-        # Pfaffians of each ideal built.
+        # (family, size) -> height, and number of linearly independent
+        # minors or Pfaffians, of each ideal built.
+        self._heights: dict[tuple[str, int], object] = {}
         self.generator_counts: dict[tuple[str, int], int] = {}
 
     @staticmethod
@@ -897,10 +895,9 @@ class LowerIdealCache:
         return ideal
 
     def _height(self, family: str, size: int):
-        heights = self._pf if family == "pfaffians" else self._minor
-        if size not in heights:
-            heights[size] = self.build(family, size).height()
-        return heights[size]
+        if (family, size) not in self._heights:
+            self._heights[family, size] = self.build(family, size).height()
+        return self._heights[family, size]
 
     def minor_height(self, j: int):
         return self._height("minors", j)

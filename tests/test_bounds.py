@@ -465,9 +465,9 @@ class TestClassify:
         M = generic_matrix(2, 3, "ordinary", field=F32003)
         cache = LowerIdealCache(M)
         classify(M, 2, cache=cache)
-        before = dict(cache._minor)
+        before = dict(cache._heights)
         classify(M, 2, cache=cache)
-        assert cache._minor == before
+        assert cache._heights == before
 
     def test_non_uniform_entry_degrees_rejected(self):
         helper = generic_matrix(2, 2, "ordinary", field=F32003)

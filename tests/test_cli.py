@@ -93,6 +93,47 @@ class TestLoadProblem:
         with pytest.raises(SchemaError):
             load_problem(write_problem(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            (dict(MINIMAL, format=True), "format"),
+            (dict(MINIMAL, t=True), "t"),
+            (dict(MINIMAL, t=False), "t"),
+            (dict(MINIMAL, field={"kind": "prime-field", "p": True}), "field.p"),
+            (dict(MINIMAL, requested=[{"analysis": "gs", "s": True}]), "requested[0].s"),
+            (dict(MINIMAL, requested=[{"analysis": "bounds", "k": True}]), "requested[0].k"),
+        ],
+    )
+    def test_booleans_are_not_integers(self, tmp_path, doc, key):
+        with pytest.raises(SchemaError) as exc:
+            load_problem(write_problem(tmp_path, doc))
+        assert exc.value.key == key
+
+    @pytest.mark.parametrize(
+        "request_item,key",
+        [
+            ({"analysis": "gs", "S": 3}, "requested[0].S"),
+            ({"analysis": "height", "k": 4}, "requested[0].k"),
+            ({"analysis": "height", "s": 2}, "requested[0].s"),
+            ({"analysis": "bounds", "k": 2, "s": 2}, "requested[0].s"),
+            ({"analysis": "gs", "s": 2, "k": 2}, "requested[0].k"),
+            ({"analysis": "classify", "note": ""}, "requested[0].note"),
+        ],
+    )
+    def test_unknown_request_keys_reported(self, tmp_path, request_item, key):
+        doc = dict(MINIMAL, requested=[request_item])
+        with pytest.raises(SchemaError) as exc:
+            load_problem(write_problem(tmp_path, doc))
+        assert exc.value.key == key
+
+    def test_boolean_s_exits_1_naming_the_key(self, tmp_path, capsys):
+        doc = dict(TWO_BY_THREE, requested=[{"analysis": "gs", "s": True}])
+        code = run(["analyze", "--json", write_problem(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "requested[0].s" in captured.err
+        assert captured.out == ""
+
     def test_symmetric_violation_is_input_error(self, tmp_path):
         doc = {
             "format": 1,

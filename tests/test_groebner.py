@@ -201,6 +201,77 @@ class TestPacking:
         assert set(buchberger([x**3, x - y**50])) == {x - y**50, y**150}
 
 
+# Lex generators over GF(32003) in (x, y, z) whose first packing overflow
+# comes from an S-pair product (`_spair`) or from a reduction product
+# (`_reduce`), with the number of times the width doubles before the run
+# completes.  Found by a seeded search over random trinomials.
+OVERFLOW_CASES = [
+    ("_spair", 1, [
+        {(0, 1, 17): 2782, (0, 0, 2): 6954},
+        {(2, 1, 0): 17832, (1, 1, 2): 28543, (58, 11, 0): 13881},
+    ]),
+    ("_spair", 1, [{(43, 1, 2): 9301, (2, 0, 0): 28134}, {(0, 0, 2): 12886, (38, 2, 0): 24518}]),
+    ("_spair", 2, [
+        {(2, 60, 1): 18460, (0, 16, 0): 17159},
+        {(1, 63, 0): 24297, (37, 2, 0): 3427},
+        {(0, 2, 37): 23620, (24, 1, 0): 13705},
+    ]),
+    ("_reduce", 1, [
+        {(1, 0, 0): 20330, (0, 47, 63): 8116, (0, 0, 3): 19734},
+        {(0, 1, 47): 27642, (0, 0, 1): 18180, (5, 2, 1): 19702},
+    ]),
+    ("_reduce", 1, [{(1, 0, 1): 18608, (0, 2, 1): 14707, (35, 45, 1): 25885}, {(2, 2, 1): 12145, (1, 14, 2): 25374}]),
+    ("_reduce", 2, [
+        {(0, 35, 53): 23482, (1, 0, 0): 10787},
+        {(59, 1, 23): 10358, (1, 0, 2): 20765},
+        {(0, 17, 0): 20642, (0, 0, 1): 23493},
+    ]),
+]
+
+
+class TestOverflowSites:
+    @staticmethod
+    def spy(monkeypatch):
+        """Records the sites that raise PackingOverflow, in order, and counts
+        the widenings."""
+        log = {"sites": [], "widened": 0}
+        for name in ("_spair", "_reduce"):
+            original = getattr(groebner, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                try:
+                    return _original(*args)
+                except groebner.PackingOverflow:
+                    log["sites"].append(_name)
+                    raise
+
+            monkeypatch.setattr(groebner, name, wrapper)
+        widened = MonomialPacking.widened
+
+        def counting(self):
+            log["widened"] += 1
+            return widened(self)
+
+        monkeypatch.setattr(MonomialPacking, "widened", counting)
+        return log
+
+    @pytest.mark.parametrize("site,widenings,gens", OVERFLOW_CASES)
+    def test_overflow_restarts_give_the_wide_packing_basis(self, site, widenings, gens, monkeypatch):
+        ring = PolyRing(("x", "y", "z"), field=F32003, order=MonomialOrder.LEX)
+        gens = [Polynomial(ring, terms) for terms in gens]
+        with monkeypatch.context() as wide:
+            wide_fitting = classmethod(lambda cls, ring, polys: cls(ring.nvars, ring.order, 64))
+            wide.setattr(MonomialPacking, "fitting", wide_fitting)
+            log = self.spy(wide)
+            expected = buchberger(gens)
+            assert log == {"sites": [], "widened": 0}
+        log = self.spy(monkeypatch)
+        assert buchberger(gens) == expected
+        assert log["sites"][0] == site
+        assert log["widened"] == widenings == len(log["sites"])
+        assert_is_reduced_groebner_basis(expected, gens)
+
+
 # Reduced bases of I_2 of one linear 2x3 matrix, recorded with the Groebner
 # core that worked on exponent tuples.
 PINNED_ENTRIES = (("x + 2*y", "3*y - z", "x + z"), ("2*x - z", "y + z", "x - y + 3*z"))
