@@ -131,12 +131,6 @@ class Conclusion:
 class ClassificationReport:
     conclusions: tuple[Conclusion, ...]
 
-    def claims(self) -> set[str]:
-        return {c.claim for c in self.conclusions}
-
-    def with_source(self, source: str) -> tuple[Conclusion, ...]:
-        return tuple(c for c in self.conclusions if c.source == source)
-
 
 @dataclass(frozen=True)
 class GenericStatus:

@@ -95,7 +95,7 @@ def _parse_field_value(value, key: str) -> FieldSpec:
             return FieldSpec.rationals()
         if name.startswith("prime:"):
             name = name[len("prime:") :]
-        if name.isdigit():
+        if name.isdecimal():
             return FieldSpec.prime(int(name))
         raise SchemaError(f"unrecognized field {value!r}", key=key)
     if isinstance(value, dict):
@@ -114,7 +114,7 @@ def _parse_field_value(value, key: str) -> FieldSpec:
 def _parse_s_value(value, key: str):
     if value in ("inf", "+inf", None):
         return "inf"
-    if isinstance(value, str) and value.isdigit():
+    if isinstance(value, str) and value.isdecimal():
         value = int(value)
     if type(value) is int and value >= 1:
         return value
@@ -130,7 +130,7 @@ def _parse_k_value(value, key: str) -> tuple[int, int]:
             lo, hi = int(a), int(b)
         except ValueError:
             raise SchemaError(f"bad k range {value!r}", key=key) from None
-    elif isinstance(value, str) and value.isdigit():
+    elif isinstance(value, str) and value.isdecimal():
         lo = hi = int(value)
     else:
         raise SchemaError(f"k must be an integer or 'a..b', got {value!r}", key=key)

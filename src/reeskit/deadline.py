@@ -15,7 +15,7 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 
-from .errors import ComputationTimeout
+from .errors import ComputationTimeout, DomainError
 
 _deadline: ContextVar[float | None] = ContextVar("reeskit_deadline", default=None)
 # The name of the ideal whose work is running, for timeout messages.
@@ -24,7 +24,11 @@ _ideal_name: ContextVar[str | None] = ContextVar("reeskit_ideal_name", default=N
 
 @contextmanager
 def time_limit(seconds: float):
-    """Bound Groebner work inside the block; expiry raises ComputationTimeout."""
+    """Bound Groebner work inside the block; expiry raises ComputationTimeout.
+    0 expires at the first check and inf never; NaN, which would never
+    expire, and negative values raise DomainError."""
+    if not seconds >= 0:
+        raise DomainError(f"time limit must be a non-negative number of seconds, got {seconds!r}")
     token = _deadline.set(time.monotonic() + seconds)
     try:
         yield

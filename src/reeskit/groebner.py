@@ -149,8 +149,8 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     fm, fc = f.leading_term()
     gm, gc = g.leading_term()
     lcm = mon_lcm(fm, gm)
-    ring, div = f.ring, f.ring.field.ops.div
-    return ring.term(div(1, fc), mon_div(lcm, fm)) * f - ring.term(div(1, gc), mon_div(lcm, gm)) * g
+    ring, inverse = f.ring, f.ring.field.inverse
+    return ring.term(inverse(fc), mon_div(lcm, fm)) * f - ring.term(inverse(gc), mon_div(lcm, gm)) * g
 
 
 # -- packed monomials ---------------------------------------------------------
@@ -227,20 +227,6 @@ class MonomialPacking:
         return None if r & self.guard else r
 
 
-class _Rationals:
-    """Stands in for the modulus over QQ, where `x % _RATIONALS` is x."""
-
-    def __rmod__(self, x):
-        return x
-
-
-_RATIONALS = _Rationals()
-
-
-def _modulus(field: FieldSpec):
-    return _RATIONALS if field.p is None else field.p
-
-
 def _packed_run(ring: PolyRing, polys: Sequence[Polynomial], compute: Callable):
     """(packing, compute(packing)), doubling the width on each overflow."""
     packing = MonomialPacking.fitting(ring, polys)
@@ -263,8 +249,7 @@ def _monic(poly: dict, field: FieldSpec) -> dict:
     lc = poly[max(poly)]
     if lc == 1:
         return poly
-    inv = field.ops.div(1, lc)
-    modulus = _modulus(field)
+    inv, modulus = field.inverse(lc), field.modulus
     return {m: c * inv % modulus for m, c in poly.items()}
 
 
@@ -348,7 +333,7 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
     def compute(packing: MonomialPacking) -> dict:
         reducers = [_reducer(_monic(_pack(packing, g), field), packing) for g in basis]
-        return _reduce(_pack(packing, p), reducers, packing, _modulus(field), "normal form reduction")
+        return _reduce(_pack(packing, p), reducers, packing, field.modulus, "normal form reduction")
 
     packing, remainder = _packed_run(p.ring, [p, *basis], compute)
     return _unpack(p.ring, packing, remainder)
@@ -390,7 +375,7 @@ def _buchberger(
 ) -> list[dict] | None:
     """The packed basis, descending by leading monomial, reduced unless a
     `stop` test is given (see `buchberger`); None for the unit ideal."""
-    modulus = _modulus(field)
+    modulus = field.modulus
     guard = packing.guard
     stage = "Buchberger reduction"
 
@@ -505,7 +490,7 @@ def _inter_reduce(reducers: list[tuple], field: FieldSpec, packing: MonomialPack
             continue
         kept.append(r)
     # Tail-reduce each element against the others until stable.
-    modulus = _modulus(field)
+    modulus = field.modulus
     one = field.coerce(1)
     changed = True
     while changed:
@@ -770,7 +755,7 @@ def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial
     those pivots from it leaves zero.  Each step cancels the row's largest
     monomial and adds only smaller ones, so the reduction terminates.
     """
-    ops = ring.field.ops
+    inverse, mod = ring.field.inverse, ring.field.modulus
     pivots: dict[Monomial, dict] = {}
     kept = []
     for p in polys:
@@ -783,9 +768,9 @@ def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial
                 pivots[lead] = row
                 kept.append(p)
                 break
-            factor = ops.div(row[lead], pivot[lead])
+            factor = row[lead] * inverse(pivot[lead]) % mod
             for m, c in pivot.items():
-                s = ops.sub(row[m], ops.mul(factor, c)) if m in row else ops.neg(ops.mul(factor, c))
+                s = (row.get(m, 0) - factor * c) % mod
                 if s == 0:
                     row.pop(m, None)
                 else:

@@ -220,9 +220,8 @@ def exact_quotient(num: Polynomial, den: Polynomial) -> Polynomial:
     if num.is_zero:
         return num.ring.zero()
     ring = num.ring
-    ops = ring.field.ops
-    lt = den.leading_term()
-    dm, dc = lt
+    dm, dc = den.leading_term()
+    inv, mod = ring.field.inverse(dc), ring.field.modulus
     den_terms = den.terms
     work = dict(num.terms)
     q: dict = {}
@@ -232,11 +231,11 @@ def exact_quotient(num: Polynomial, den: Polynomial) -> Polynomial:
         qm = mon_div(wm, dm)
         if qm is None:
             raise ExactDivisionError("division is not exact")
-        qc = ops.div(work[wm], dc)
+        qc = work[wm] * inv % mod
         q[qm] = qc
         for m, c in den_terms.items():
             mm = tuple(a + b for a, b in zip(qm, m))
-            s = ops.sub(work.get(mm, 0), ops.mul(qc, c)) if mm in work else ops.neg(ops.mul(qc, c))
+            s = (work.get(mm, 0) - qc * c) % mod
             if s == 0:
                 work.pop(mm, None)
             else:

@@ -7,6 +7,11 @@ rounds: arithmetic, parsing, and printing are exact, and every value is
 immutable after construction, so polynomials can be shared freely between
 threads.
 
+Coefficient arithmetic, here and in the engine, is one expression,
+``(a op b) % field.modulus``, with quotients through ``field.inverse``.
+Over F_p the modulus is p.  Over the rationals ``x % modulus`` is x, so the
+expression is exact ``Fraction`` arithmetic; ``inverse`` returns a Fraction.
+
 Monomial orders: graded reverse lexicographic (the default, used for all
 dimension work) and lexicographic.  Canonical printing lists terms in
 descending order with explicit ``*`` and ``^``; juxtaposition is not a
@@ -25,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, PolyParseError, RingMismatchError
 
@@ -74,14 +78,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class CoeffOps(NamedTuple):
-    """Arithmetic closures for a field, used by the inner loops."""
+class _Rationals:
+    """Stands in for the modulus over QQ, where `x % _RATIONALS` is x."""
 
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable
-    neg: Callable
+    def __rmod__(self, x):
+        return x
+
+
+_RATIONALS = _Rationals()
 
 
 @dataclass(frozen=True)
@@ -113,37 +117,27 @@ class FieldSpec:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
+    @property
+    def modulus(self):
+        """p, or over QQ a stand-in: `(a op b) % modulus` is a op b in this field."""
+        return _RATIONALS if self.p is None else self.p
+
+    def inverse(self, c):
+        """1 / c in this field, exactly; ZeroDivisionError when c is 0."""
+        if self.p is None:
+            return Fraction(1, c)
+        try:
+            return pow(c, -1, self.p)
+        except ValueError:
+            raise ZeroDivisionError(f"{c} is not invertible modulo {self.p}") from None
+
     def coerce(self, value) -> Fraction | int:
         """Bring an int/Fraction into canonical coefficient form."""
         if self.p is None:
             return Fraction(value)
         if isinstance(value, Fraction):
-            num = value.numerator % self.p
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return num * pow(den, -1, self.p) % self.p
+            return value.numerator * self.inverse(value.denominator) % self.p
         return value % self.p
-
-    @cached_property
-    def ops(self) -> CoeffOps:
-        """The field's arithmetic, built once per FieldSpec."""
-        p = self.p
-        if p is None:
-            return CoeffOps(
-                add=lambda a, b: a + b,
-                sub=lambda a, b: a - b,
-                mul=lambda a, b: a * b,
-                div=lambda a, b: a / b,
-                neg=lambda a: -a,
-            )
-        return CoeffOps(
-            add=lambda a, b: (a + b) % p,
-            sub=lambda a, b: (a - b) % p,
-            mul=lambda a, b: (a * b) % p,
-            div=lambda a, b: a * pow(b, -1, p) % p,
-            neg=lambda a: (-a) % p,
-        )
 
     def __str__(self) -> str:
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -293,10 +287,10 @@ class Polynomial:
             else:
                 return NotImplemented
         self._check_ring(other)
-        ops = self.ring.field.ops
+        mod = self.ring.field.modulus
         out = dict(self._terms)
         for m, c in other._terms.items():
-            s = ops.add(out.get(m, 0), c) if m in out else c
+            s = (out[m] + c) % mod if m in out else c
             if s == 0:
                 out.pop(m, None)
             else:
@@ -306,8 +300,8 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.field.ops.neg
-        return Polynomial(self.ring, {m: neg(c) for m, c in self._terms.items()}, _clean=True)
+        mod = self.ring.field.modulus
+        return Polynomial(self.ring, {m: -c % mod for m, c in self._terms.items()}, _clean=True)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -326,18 +320,18 @@ class Polynomial:
                 c = self.ring.field.coerce(other)
                 if c == 0:
                     return self.ring.zero()
-                mul = self.ring.field.ops.mul
-                return Polynomial(self.ring, {m: mul(v, c) for m, v in self._terms.items()}, _clean=True)
+                mod = self.ring.field.modulus
+                return Polynomial(self.ring, {m: v * c % mod for m, v in self._terms.items()}, _clean=True)
             return NotImplemented
         self._check_ring(other)
         if not self._terms or not other._terms:
             return self.ring.zero()
-        ops = self.ring.field.ops
+        mod = self.ring.field.modulus
         out: dict[Monomial, object] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 m = tuple(map(add, ma, mb))
-                s = ops.add(out[m], ops.mul(ca, cb)) if m in out else ops.mul(ca, cb)
+                s = (out.get(m, 0) + ca * cb) % mod
                 if s == 0:
                     out.pop(m, None)
                 else:
@@ -363,9 +357,9 @@ class Polynomial:
         lt = self.leading_term()
         if lt is None:
             return self
-        div = self.ring.field.ops.div
-        _, lc = lt
-        return Polynomial(self.ring, {m: div(c, lc) for m, c in self._terms.items()}, _clean=True)
+        field = self.ring.field
+        inv, mod = field.inverse(lt[1]), field.modulus
+        return Polynomial(self.ring, {m: c * inv % mod for m, c in self._terms.items()}, _clean=True)
 
     # -- equality --------------------------------------------------------
 
@@ -468,9 +462,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("NAT", text[i:j], i))
             i = j

@@ -51,9 +51,19 @@ def rng():
     return random.Random(20240817)
 
 
-@pytest.fixture(params=["rationals", "prime"])
+# The rationals, the smallest prime, the default prime and the largest
+# Mersenne prime below 2^63, where products of two coefficients pass 2^64.
+FIELDS = {
+    "rationals": FieldSpec.rationals(),
+    "gf2": FieldSpec.prime(2),
+    "prime": FieldSpec.prime(32003),
+    "mersenne61": FieldSpec.prime(2**61 - 1),
+}
+
+
+@pytest.fixture(params=list(FIELDS))
 def any_field(request):
-    return FieldSpec.rationals() if request.param == "rationals" else FieldSpec.prime(32003)
+    return FIELDS[request.param]
 
 
 @pytest.fixture

@@ -126,6 +126,31 @@ class TestLoadProblem:
             load_problem(write_problem(tmp_path, doc))
         assert exc.value.key == key
 
+    @pytest.mark.parametrize(
+        "doc,key",
+        [
+            (dict(MINIMAL, field="prime:²"), "field"),
+            (dict(MINIMAL, requested=[{"analysis": "gs", "s": "²"}]), "requested[0].s"),
+            (dict(MINIMAL, requested=[{"analysis": "bounds", "k": "²"}]), "requested[0].k"),
+        ],
+    )
+    def test_digits_int_rejects_are_schema_errors(self, tmp_path, doc, key):
+        # str.isdigit accepts superscripts, which int() rejects.
+        with pytest.raises(SchemaError) as exc:
+            load_problem(write_problem(tmp_path, doc))
+        assert exc.value.key == key
+
+    def test_decimal_digits_of_any_script_are_integers(self, tmp_path):
+        doc = dict(
+            MINIMAL,
+            field="prime:٧",
+            requested=[{"analysis": "gs", "s": "٣"}, {"analysis": "bounds", "k": "٢"}],
+        )
+        pf = load_problem(write_problem(tmp_path, doc))
+        assert pf.field == FieldSpec.prime(7)
+        assert [r.s for r in pf.requested] == [3, None]
+        assert pf.requested[1].k_range == (2, 2)
+
     def test_boolean_s_exits_1_naming_the_key(self, tmp_path, capsys):
         doc = dict(TWO_BY_THREE, requested=[{"analysis": "gs", "s": True}])
         code = run(["analyze", "--json", write_problem(tmp_path, doc)])
@@ -335,6 +360,35 @@ class TestRun:
         assert "  fiber type: yes [Prop 5.2.1d]\n" in out
         assert "  td finite for all k: no statement\n" in out
         assert "  td infinite for some k: yes [Prop 5.2.1c]\n" in out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--field", "prime:²"], "(key: --field)"),
+            (["--analyses", "gs", "--s", "²"], "(key: --s)"),
+            (["--analyses", "bounds", "--k", "²"], "(key: --k)"),
+        ],
+    )
+    def test_non_decimal_digit_flags_exit_1(self, flags, message, capsys):
+        code = run(["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    def test_non_decimal_digit_entry_exits_1(self, tmp_path, capsys):
+        doc = dict(MINIMAL, matrix={"kind": "ordinary", "entries": [["x^²"]]})
+        code = run(["height", write_problem(tmp_path, doc)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unexpected character '²' (column 3)\n"
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_invalid_timeout_exits_1(self, value, capsys):
+        code = run(["generic", "--kind", "symmetric", "--n", "4", "--t", "2", "--analyses", "height", "--timeout", value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: time limit must be a non-negative number")
+        assert captured.out == ""
 
     def test_timeout_exits_2(self, capsys):
         code = run(["generic", "--kind", "symmetric", "--n", "4", "--t", "2", "--analyses", "height", "--timeout", "0"])

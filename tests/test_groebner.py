@@ -681,6 +681,17 @@ class TestTimeout:
             with time_limit(0.0):
                 ideal_of_minors(M, 2).height()
 
+    @pytest.mark.parametrize("seconds", [math.nan, -1.0, -math.inf])
+    def test_time_limit_rejects_nan_and_negative(self, seconds):
+        with pytest.raises(DomainError):
+            with time_limit(seconds):
+                pass
+
+    def test_infinite_time_limit_never_expires(self, fp_xyz):
+        x, y, z = fp_xyz.gens()
+        with time_limit(math.inf):
+            assert len(buchberger([x * y - z * z, x * x - y * z])) == 3
+
     def test_time_limit_restores(self, qq_xy):
         x, y = qq_xy.gens()
         try:

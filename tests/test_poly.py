@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from reeskit.errors import DomainError, PolyParseError, RingMismatchError
+from reeskit.matrixalg import exact_quotient
 from reeskit.poly import (
     ALL_DEGREES,
     FieldSpec,
     MonomialOrder,
     PolyRing,
+    Polynomial,
     format_poly,
     homogeneous_degree,
     parse_poly,
 )
 
-from conftest import random_monomial, random_poly
+from conftest import random_coeff, random_monomial, random_poly
 
 
 class TestFieldSpec:
@@ -30,6 +32,15 @@ class TestFieldSpec:
         assert f.characteristic == 32003
         assert f.coerce(-1) == 32002
         assert f.coerce(Fraction(1, 2)) == (32003 + 1) // 2
+
+    def test_inverse_of_zero_raises(self, any_field):
+        with pytest.raises(ZeroDivisionError):
+            any_field.inverse(0)
+
+    def test_rational_inverse_is_exact(self):
+        f = FieldSpec.rationals()
+        assert type(f.inverse(3)) is Fraction and f.inverse(3) == Fraction(1, 3)
+        assert f.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(DomainError):
@@ -92,6 +103,16 @@ class TestParse:
         ring = PolyRing(("x",), field=FieldSpec.prime(7))
         with pytest.raises(PolyParseError):
             parse_poly("1/7*x", ring)
+
+    @pytest.mark.parametrize("text,column", [("x^²", 3), ("²*x", 1), ("x + ³/4", 5), ("1/²", 3)])
+    def test_digits_int_rejects_are_not_numbers(self, qq_xy, text, column):
+        # str.isdigit accepts superscripts, which int() rejects.
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, qq_xy)
+        assert exc.value.position == column - 1
+
+    def test_decimal_digits_of_any_script_are_numbers(self, qq_xy):
+        assert parse_poly("٣*x^٢", qq_xy) == parse_poly("3*x^2", qq_xy)
 
     def test_trailing_garbage(self, qq_xy):
         with pytest.raises(PolyParseError):
@@ -176,6 +197,46 @@ class TestRingAxioms:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+
+def evaluate(f: Polynomial, point: tuple):
+    """f at the point by plain int or Fraction arithmetic, reduced mod p last."""
+    total = 0
+    for m, c in f.terms.items():
+        for x, e in zip(point, m):
+            c *= x**e
+        total += c
+    p = f.ring.field.p
+    return total if p is None else total % p
+
+
+class TestEvaluationHomomorphism:
+    def test_operations_commute_with_evaluation(self, any_field):
+        rng = random.Random(4242)
+        ring = PolyRing(("x", "y", "z"), field=any_field)
+        p = any_field.p
+
+        def ref(value):
+            return value if p is None else value % p
+
+        for _ in range(200):
+            f = random_poly(rng, ring, max_terms=4, max_exp=3)
+            g = random_poly(rng, ring, max_terms=4, max_exp=3, allow_zero=False)
+            c = random_coeff(rng, any_field)
+            k = rng.randint(0, 3)
+            point = tuple(random_coeff(rng, any_field) if rng.random() < 0.8 else 0 for _ in range(3))
+            ef, eg = evaluate(f, point), evaluate(g, point)
+            assert evaluate(f + g, point) == ref(ef + eg)
+            assert evaluate(f - g, point) == ref(ef - eg)
+            assert evaluate(-f, point) == ref(-ef)
+            assert evaluate(c * f, point) == ref(c * ef)
+            assert evaluate(f * g, point) == ref(ef * eg)
+            assert evaluate(f**k, point) == ref(ef**k)
+            lc = g.leading_term()[1]
+            # Fermat's little theorem inverts lc mod p without pow(lc, -1, p).
+            inv = Fraction(1, lc) if p is None else pow(lc, p - 2, p)
+            assert evaluate(g.monic(), point) == ref(eg * inv)
+            assert exact_quotient(f * g, g) == f
 
 
 class TestMonomialOrders:
