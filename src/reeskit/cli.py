@@ -15,6 +15,7 @@ expiry of a Groebner run).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -79,7 +80,6 @@ class Request:
 class ProblemFile:
     """Validated problem document (polynomials still as text)."""
 
-    format: int
     field: FieldSpec | None
     variables: tuple[str, ...]
     kind: MatrixKind
@@ -126,10 +126,9 @@ def _parse_k_value(value, key: str) -> tuple[int, int]:
         lo = hi = value
     elif isinstance(value, str) and ".." in value:
         a, _, b = value.partition("..")
-        try:
-            lo, hi = int(a), int(b)
-        except ValueError:
-            raise SchemaError(f"bad k range {value!r}", key=key) from None
+        if not (a.isdecimal() and b.isdecimal()):
+            raise SchemaError(f"bad k range {value!r}", key=key)
+        lo, hi = int(a), int(b)
     elif isinstance(value, str) and value.isdecimal():
         lo = hi = int(value)
     else:
@@ -139,22 +138,17 @@ def _parse_k_value(value, key: str) -> tuple[int, int]:
     return lo, hi
 
 
-def load_problem(source) -> ProblemFile:
-    """Load and validate a problem document from a path or a JSON string."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = source
-        if not source.lstrip().startswith("{"):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise InputError(f"cannot read problem file: {exc}") from None
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"problem file is not valid JSON: {exc}") from None
+def load_problem(path) -> ProblemFile:
+    """Load and validate the problem file at `path`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read problem file: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"problem file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("problem document must be a JSON object")
     known = {"format", "field", "variables", "matrix", "t", "requested"}
@@ -215,7 +209,6 @@ def load_problem(source) -> ProblemFile:
             req = Request(analysis=name, k_range=_parse_k_value(item["k"], f"{key}.k"))
         requested.append(req)
     return ProblemFile(
-        format=1,
         field=field_spec,
         variables=tuple(variables),
         kind=kind,
@@ -225,41 +218,24 @@ def load_problem(source) -> ProblemFile:
     )
 
 
-def emit_problem(pf: ProblemFile) -> str:
-    """Canonical serialization; load(emit(load(f))) == load(f)."""
-    doc: dict = {
-        "format": pf.format,
-        "variables": list(pf.variables),
-        "matrix": {"kind": pf.kind.value, "entries": [list(row) for row in pf.entries]},
-        "t": pf.t,
-    }
-    if pf.field is not None:
-        doc["field"] = (
-            {"kind": "rationals"} if pf.field.p is None else {"kind": "prime-field", "p": pf.field.p}
-        )
-    if pf.requested:
-        doc["requested"] = []
-        for req in pf.requested:
-            item: dict = {"analysis": req.analysis}
-            if req.analysis == "gs":
-                item["s"] = req.s
-            elif req.analysis == "bounds":
-                lo, hi = req.k_range
-                item["k"] = str(lo) if lo == hi else f"{lo}..{hi}"
-            doc["requested"].append(item)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def build_matrix(pf: ProblemFile, field: FieldSpec, order: MonomialOrder) -> PolyMatrix:
     ring = PolyRing(pf.variables, field=field, order=order)
     rows = [[parse_poly(text, ring) for text in row] for row in pf.entries]
     return PolyMatrix(pf.kind, rows)
 
 
-# -- report assembly ---------------------------------------------------------
+# -- report sections -----------------------------------------------------------
+#
+# Each analysis has a section builder, (M, t, request, cache) -> the section
+# as a JSON-safe dict, and a text renderer, section -> its report lines.
+# `_SECTIONS` below maps each analysis name to that pair.
 
 
-def _height_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> dict:
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+def _height_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
     report = cache.generic_report(t)
     family, size = cache.ideal_at(M.kind, t)
     return {
@@ -273,8 +249,18 @@ def _height_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> d
     }
 
 
-def _gs_section(M: PolyMatrix, t: int, s, cache: groebner.LowerIdealCache) -> dict:
-    s_value = math.inf if s == "inf" else s
+def _height_lines(section: dict) -> list[str]:
+    return [
+        "height",
+        f"  ideal {section['ideal']}, {section['generators']} generators",
+        f"  height = {section['height']}",
+        f"  expected generic height = {section['expected_generic']} [{section['expected_source']}]",
+        f"  generic height: {_yes_no(section['generic'])}",
+    ]
+
+
+def _gs_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
+    s_value = math.inf if req.s in ("inf", None) else req.s
     report = gs.check_Gs(M, t, s_value, cache=cache)
     return {
         "analysis": "gs",
@@ -295,13 +281,35 @@ def _gs_section(M: PolyMatrix, t: int, s, cache: groebner.LowerIdealCache) -> di
     }
 
 
+def _gs_lines(section: dict) -> list[str]:
+    source = section["threshold_source"]
+    return [
+        f"gs (s = {section['s']})",
+        *(
+            f"  j = {row['j']}: height = {row['height']}, required >= {row['required']}, "
+            f"threshold = {row['threshold']} [{source}] -> {'ok' if row['satisfied'] else 'FAIL'}"
+            for row in section["rows"]
+        ),
+        f"  max_s = {section['max_s']} [{source} (derived)]",
+        f"  G_s holds at requested s: {_yes_no(section['satisfied'])}",
+    ]
+
+
 def _hypothesis_rows(report: bounds_mod.HypothesisReport) -> list[dict]:
     return [
         {"j": r.j, "required": r.required, "height": _ext(r.actual), "satisfied": r.satisfied} for r in report.per_j
     ]
 
 
-def _specialize_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> dict:
+def _hypothesis_lines(prefix: str, rows: list[dict], source: str) -> list[str]:
+    return [
+        f"  {prefix}j = {row['j']}: height = {row['height']}, required >= {row['required']} "
+        f"[{source}] -> {'ok' if row['satisfied'] else 'FAIL'}"
+        for row in rows
+    ]
+
+
+def _specialize_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
     result = bounds_mod.specialization_check(M, t, cache=cache)
     return {
         "analysis": "specialize",
@@ -310,6 +318,16 @@ def _specialize_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) 
         "specializes": result.specializes,
         "cohen_macaulay": result.cohen_macaulay,
     }
+
+
+def _specialize_lines(section: dict) -> list[str]:
+    source = section["source"]
+    return [
+        "specialize",
+        *_hypothesis_lines("", section["rows"], source),
+        f"  Rees algebra specializes: {_yes_no(section['specializes'])} [{source}]",
+        f"  Cohen-Macaulay: {section['cohen_macaulay']} [{source}]",
+    ]
 
 
 def _bound_value_json(v: bounds_mod.BoundValue | None) -> object:
@@ -325,7 +343,7 @@ def _bound_value_json(v: bounds_mod.BoundValue | None) -> object:
     return out
 
 
-def _bounds_section(M: PolyMatrix, t: int, k_range: tuple[int, int], cache: groebner.LowerIdealCache) -> dict:
+def _bounds_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
     hyp = bounds_mod.hypothesis_check(M, t, "bounds", cache=cache)
     section: dict = {
         "analysis": "bounds",
@@ -339,7 +357,7 @@ def _bounds_section(M: PolyMatrix, t: int, k_range: tuple[int, int], cache: groe
         )
     inst = ProblemInstance.from_matrix(M, t)
     rows = []
-    lo, hi = k_range
+    lo, hi = req.k_range
     for k in range(lo, hi + 1):
         result = bounds_mod.degree_bounds(inst, k, hypotheses_attested=True)
         row: dict = {"k": k, "applicable": result.applicable, "source": result.source}
@@ -353,7 +371,26 @@ def _bounds_section(M: PolyMatrix, t: int, k_range: tuple[int, int], cache: groe
     return section
 
 
-def _classify_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) -> dict:
+def _bounds_lines(section: dict) -> list[str]:
+    hyp = section["hypotheses"]
+    lines = ["bounds", *_hypothesis_lines("hypothesis ", hyp["rows"], hyp["source"])]
+    lines.append(f"  hypotheses satisfied: {_yes_no(hyp['satisfied'])} [{hyp['source']}]")
+    for row in section["rows"]:
+        if not row["applicable"]:
+            lines.append(f"  k = {row['k']}: not applicable ({row['note']}) [{row['source']}]")
+            continue
+        b0, td = row["b0"]["rendered"], row["td"]["rendered"]
+        lines.append(f"  k = {row['k']}: b0 <= {b0}, td <= {td} [{row['source']}]")
+        if row.get("note"):
+            lines.append(f"      note: {row['note']}")
+        for part in ("b0", "td"):
+            note = row[part].get("note")
+            if note:
+                lines.append(f"      {part} note: {note}")
+    return lines
+
+
+def _classify_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
     report = bounds_mod.classify(M, t, cache=cache)
     return {
         "analysis": "classify",
@@ -369,7 +406,19 @@ def _classify_section(M: PolyMatrix, t: int, cache: groebner.LowerIdealCache) ->
     }
 
 
-def _forms_section(inst: ProblemInstance) -> dict:
+def _classify_lines(section: dict) -> list[str]:
+    lines = ["classify"]
+    if not section["conclusions"]:
+        lines.append("  no conclusion applies")
+    for c in section["conclusions"]:
+        verified = "verified" if c["hypotheses_verified"] else "UNVERIFIED"
+        detail = f" ({c['detail']})" if c.get("detail") else ""
+        lines.append(f"  conclusion: {c['claim']}{detail} [{c['source']}] hypotheses {verified}")
+    return lines
+
+
+def _forms_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
+    inst = ProblemInstance.from_matrix(M, t)
     status = bounds_mod.generic_status(inst)
     return {
         "analysis": "forms",
@@ -385,116 +434,84 @@ def _forms_section(inst: ProblemInstance) -> dict:
     }
 
 
-def _pfaffian_section(M: PolyMatrix) -> dict:
-    return {"analysis": "pfaffian", "pfaffian": str(matrixalg.pfaffian(M))}
-
-
-# -- text rendering -----------------------------------------------------------
-
-
-def _hypothesis_lines(prefix: str, rows: list[dict], source: str) -> list[str]:
+def _forms_lines(section: dict) -> list[str]:
+    status = section["status"]
     return [
-        f"  {prefix}j = {row['j']}: height = {row['height']}, required >= {row['required']} "
-        f"[{source}] -> {'ok' if row['satisfied'] else 'FAIL'}"
-        for row in rows
+        "generic closed forms",
+        f"  max s with G_s = {section['max_gs']} [{section['max_gs_source']}]",
+        f"  min generators = {section['min_generators']} [{section['min_generators_source']}]",
+        *(
+            f"  {title}: no statement"
+            if status[flag] is None
+            else f"  {title}: {_yes_no(status[flag])} [{status['flag_sources'][flag]}]"
+            for flag, title in _STATUS_FLAGS
+        ),
     ]
 
 
+def _pfaffian_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
+    return {"analysis": "pfaffian", "pfaffian": str(matrixalg.pfaffian(M))}
+
+
+def _pfaffian_lines(section: dict) -> list[str]:
+    return ["pfaffian", f"  Pf = {section['pfaffian']}"]
+
+
+# The one place that knows each analysis.  The `pfaffian` row serves only
+# the subcommand of that name: it is in neither _ANALYSES nor
+# _FILE_ANALYSES, so --analyses and problem files cannot request it.
+_SECTIONS = {
+    "height": (_height_section, _height_lines),
+    "gs": (_gs_section, _gs_lines),
+    "specialize": (_specialize_section, _specialize_lines),
+    "bounds": (_bounds_section, _bounds_lines),
+    "classify": (_classify_section, _classify_lines),
+    "forms": (_forms_section, _forms_lines),
+    "pfaffian": (_pfaffian_section, _pfaffian_lines),
+}
+
+
+def _run_analyses(M: PolyMatrix, t: int, requests: list[Request], field: FieldSpec, order: MonomialOrder) -> dict:
+    cache = groebner.LowerIdealCache(M)
+    return {
+        "format": 1,
+        "banner": {"field": str(field), "order": order.value},
+        "matrix": {
+            "kind": M.kind.value,
+            "m": M.m,
+            "n": M.n,
+            "t": t,
+            "entry_degree": M.entry_degree,
+            "d": M.ring.nvars,
+        },
+        "analyses": [_SECTIONS[req.analysis][0](M, t, req, cache) for req in requests],
+    }
+
+
 def render_text(report: dict) -> str:
-    lines: list[str] = []
     banner = report["banner"]
-    lines.append(f"field {banner['field']} | order {banner['order']}")
     mat = report["matrix"]
     delta = mat["entry_degree"]
-    lines.append(
+    lines = [
+        f"field {banner['field']} | order {banner['order']}",
         f"matrix {mat['kind']} {mat['m']}x{mat['n']}, t = {mat['t']}, "
-        f"entry degree {'none' if delta is None else delta}, ring variables {mat['d']}"
-    )
+        f"entry degree {'none' if delta is None else delta}, ring variables {mat['d']}",
+    ]
     for section in report["analyses"]:
-        kind = section["analysis"]
         lines.append("")
-        if kind == "height":
-            lines.append("height")
-            lines.append(f"  ideal {section['ideal']}, {section['generators']} generators")
-            lines.append(f"  height = {section['height']}")
-            lines.append(f"  expected generic height = {section['expected_generic']} [{section['expected_source']}]")
-            lines.append(f"  generic height: {'yes' if section['generic'] else 'no'}")
-        elif kind == "gs":
-            lines.append(f"gs (s = {section['s']})")
-            for row in section["rows"]:
-                verdict = "ok" if row["satisfied"] else "FAIL"
-                lines.append(
-                    f"  j = {row['j']}: height = {row['height']}, required >= {row['required']}, "
-                    f"threshold = {row['threshold']} [{section['threshold_source']}] -> {verdict}"
-                )
-            lines.append(f"  max_s = {section['max_s']} [{section['threshold_source']} (derived)]")
-            lines.append(f"  G_s holds at requested s: {'yes' if section['satisfied'] else 'no'}")
-        elif kind == "specialize":
-            lines.append("specialize")
-            lines.extend(_hypothesis_lines("", section["rows"], section["source"]))
-            lines.append(f"  Rees algebra specializes: {'yes' if section['specializes'] else 'no'} [{section['source']}]")
-            lines.append(f"  Cohen-Macaulay: {section['cohen_macaulay']} [{section['source']}]")
-        elif kind == "bounds":
-            lines.append("bounds")
-            hyp = section["hypotheses"]
-            lines.extend(_hypothesis_lines("hypothesis ", hyp["rows"], hyp["source"]))
-            lines.append(f"  hypotheses satisfied: {'yes' if hyp['satisfied'] else 'no'} [{hyp['source']}]")
-            for row in section["rows"]:
-                if not row["applicable"]:
-                    lines.append(f"  k = {row['k']}: not applicable ({row['note']}) [{row['source']}]")
-                    continue
-                b0 = row["b0"]["rendered"]
-                td = row["td"]["rendered"]
-                lines.append(f"  k = {row['k']}: b0 <= {b0}, td <= {td} [{row['source']}]")
-                if row.get("note"):
-                    lines.append(f"      note: {row['note']}")
-                for part in ("b0", "td"):
-                    note = row[part].get("note")
-                    if note:
-                        lines.append(f"      {part} note: {note}")
-        elif kind == "classify":
-            lines.append("classify")
-            if not section["conclusions"]:
-                lines.append("  no conclusion applies")
-            for c in section["conclusions"]:
-                verified = "verified" if c["hypotheses_verified"] else "UNVERIFIED"
-                detail = f" ({c['detail']})" if c.get("detail") else ""
-                lines.append(f"  conclusion: {c['claim']}{detail} [{c['source']}] hypotheses {verified}")
-        elif kind == "forms":
-            lines.append("generic closed forms")
-            lines.append(f"  max s with G_s = {section['max_gs']} [{section['max_gs_source']}]")
-            lines.append(f"  min generators = {section['min_generators']} [{section['min_generators_source']}]")
-            status = section["status"]
-            for flag, title in _STATUS_FLAGS:
-                value = status[flag]
-                if value is None:
-                    lines.append(f"  {title}: no statement")
-                else:
-                    lines.append(f"  {title}: {'yes' if value else 'no'} [{status['flag_sources'][flag]}]")
-        elif kind == "pfaffian":
-            lines.append("pfaffian")
-            lines.append(f"  Pf = {section['pfaffian']}")
+        lines.extend(_SECTIONS[section["analysis"]][1](section))
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def emit_report(report: dict, fmt: str = "text") -> str:
-    """Render a report; 'structured' (JSON) is loss-free for the text form."""
-    if fmt in ("structured", "json"):
-        return render_json(report)
+    """Render a report: "structured" is the JSON form, loss-free for the
+    text form, and anything else the text form."""
+    if fmt == "structured":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     return render_text(report)
 
 
 # -- argument plumbing ---------------------------------------------------------
-
-
-def _field_from_flag(value: str | None) -> FieldSpec | None:
-    if value is None:
-        return None
-    return _parse_field_value(value, "--field")
 
 
 def _add_common(sub: argparse.ArgumentParser):
@@ -541,43 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_analyses(
-    M: PolyMatrix,
-    t: int,
-    requests: list[Request],
-    field: FieldSpec,
-    order: MonomialOrder,
-    generic_inst: ProblemInstance | None = None,
-) -> dict:
-    cache = groebner.LowerIdealCache(M)
-    sections = []
-    for req in requests:
-        if req.analysis == "height":
-            sections.append(_height_section(M, t, cache))
-        elif req.analysis == "gs":
-            sections.append(_gs_section(M, t, req.s if req.s is not None else "inf", cache))
-        elif req.analysis == "specialize":
-            sections.append(_specialize_section(M, t, cache))
-        elif req.analysis == "bounds":
-            sections.append(_bounds_section(M, t, req.k_range, cache))
-        elif req.analysis == "classify":
-            sections.append(_classify_section(M, t, cache))
-        elif req.analysis == "forms":
-            inst = generic_inst if generic_inst is not None else ProblemInstance.from_matrix(M, t)
-            sections.append(_forms_section(inst))
-    return {
-        "format": 1,
-        "banner": {"field": str(field), "order": order.value},
-        "matrix": {
-            "kind": M.kind.value,
-            "m": M.m,
-            "n": M.n,
-            "t": t,
-            "entry_degree": M.entry_degree,
-            "d": M.ring.nvars,
-        },
-        "analyses": sections,
-    }
+def _flag_request(name: str, args: argparse.Namespace) -> Request:
+    """The request for one analysis, with its --s or --k."""
+    if name == "gs":
+        return Request("gs", s=_parse_s_value(args.s or "inf", "--s"))
+    if name == "bounds":
+        if args.k is None:
+            raise InputError("bounds needs --k")
+        return Request("bounds", k_range=_parse_k_value(args.k, "--k"))
+    return Request(name)
 
 
 def run(argv) -> int:
@@ -590,7 +579,7 @@ def run(argv) -> int:
 
     try:
         order = MonomialOrder(args.order)
-        flag_field = _field_from_flag(args.field)
+        flag_field = None if args.field is None else _parse_field_value(args.field, "--field")
 
         if args.command == "generic":
             kind = MatrixKind(args.kind)
@@ -600,7 +589,7 @@ def run(argv) -> int:
                 if args.m is not None and args.m != n:
                     raise InputError(f"{kind.value} matrices are square; --m {args.m} conflicts with --n {n}")
                 m = n
-            field = flag_field if flag_field is not None else DEFAULT_FIELD
+            field = flag_field or DEFAULT_FIELD
             M = matrixalg.generic_matrix(m, n, kind, field=field, order=order)
             t = args.t
             requests = []
@@ -610,23 +599,16 @@ def run(argv) -> int:
                     continue
                 if name not in _ANALYSES:
                     raise InputError(f"unknown analysis {name!r}")
-                if name == "gs":
-                    requests.append(Request("gs", s=_parse_s_value(args.s if args.s else "inf", "--s")))
-                elif name == "bounds":
-                    if args.k is None:
-                        raise InputError("bounds analysis needs --k")
-                    requests.append(Request("bounds", k_range=_parse_k_value(args.k, "--k")))
-                else:
-                    requests.append(Request(name))
+                requests.append(_flag_request(name, args))
             if args.k is not None and not any(r.analysis == "bounds" for r in requests):
-                requests.append(Request("bounds", k_range=_parse_k_value(args.k, "--k")))
-            inst = ProblemInstance.from_matrix(M, t)
+                requests.append(_flag_request("bounds", args))
+            # Rejects a bad t before any Groebner work.
+            ProblemInstance.from_matrix(M, t)
         else:
             pf = load_problem(args.file)
-            field = flag_field if flag_field is not None else (pf.field if pf.field is not None else DEFAULT_FIELD)
+            field = flag_field or pf.field or DEFAULT_FIELD
             M = build_matrix(pf, field, order)
             t = pf.t
-            inst = None
             if args.command == "analyze":
                 requests = list(pf.requested) or [
                     Request("height"),
@@ -634,37 +616,15 @@ def run(argv) -> int:
                     Request("specialize"),
                     Request("classify"),
                 ]
-            elif args.command == "height":
-                requests = [Request("height")]
-            elif args.command == "gs":
-                requests = [Request("gs", s=_parse_s_value(getattr(args, "s", None) or "inf", "--s"))]
-            elif args.command == "bounds":
-                if args.k is None:
-                    raise InputError("bounds needs --k")
-                requests = [Request("bounds", k_range=_parse_k_value(args.k, "--k"))]
-            elif args.command == "classify":
-                requests = [Request("classify")]
-            elif args.command == "pfaffian":
-                requests = []
+            else:
+                requests = [_flag_request(args.command, args)]
 
-        def produce() -> dict:
-            if args.command == "pfaffian":
-                report = _run_analyses(M, t, [], field, order)
-                report["analyses"].append(_pfaffian_section(M))
-                return report
-            return _run_analyses(M, t, requests, field, order, generic_inst=inst)
-
-        if args.timeout is not None:
-            with groebner.time_limit(args.timeout):
-                report = produce()
-        else:
-            report = produce()
+        limit = contextlib.nullcontext() if args.timeout is None else groebner.time_limit(args.timeout)
+        with limit:
+            report = _run_analyses(M, t, requests, field, order)
 
         sys.stdout.write(emit_report(report, "structured" if args.json else "text"))
         return 0
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except PreconditionError as exc:
         sys.stderr.write(f"precondition failure: {exc}\n")
         return 2

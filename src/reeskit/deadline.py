@@ -2,8 +2,9 @@
 
 `time_limit(seconds)` bounds the work inside its block.  The loops that
 can run long (enumeration of minors and Pfaffians, the independence
-filter, Buchberger, reductions, the height ceiling check and the dimension
-search) call `check_deadline` with the name of their stage; past the
+filter, the Buchberger set-up and main loop, reductions, the height
+ceiling check and the dimension search) call `check_deadline` with the
+name of their stage, for example `Buchberger set-up`; past the
 deadline that raises ComputationTimeout naming the stage and, inside
 `ideal_named`, the ideal.  Both values are ContextVars, so threads and
 contexts do not share them.

@@ -127,6 +127,9 @@ from .poly import (
 
 # Reductions read the clock once per this many terms taken.
 _DEADLINE_EVERY_STEPS = 256
+# The Buchberger set-up reads it once per this many generators, not on the
+# first, so a small ideal meets its first clock read in the main loop.
+_DEADLINE_EVERY_GENERATORS = 256
 
 
 def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[list[Polynomial], PolyRing]:
@@ -377,7 +380,6 @@ def _buchberger(
     `stop` test is given (see `buchberger`); None for the unit ideal."""
     modulus = field.modulus
     guard = packing.guard
-    stage = "Buchberger reduction"
 
     reducers: list[tuple] = []
     lms: list[Monomial] = []
@@ -396,14 +398,22 @@ def _buchberger(
     def degree(poly: dict) -> int:
         return max(map(packing.degree, poly))
 
+    stage = "Buchberger set-up"
+    polys = []
+    for count, g in enumerate(gens, 1):
+        if count % _DEADLINE_EVERY_GENERATORS == 0:
+            check_deadline(stage)
+        polys.append(_monic(_pack(packing, g), field))
     seen: set = set()
-    for poly in sorted((_pack(packing, g) for g in gens), key=max):
-        poly = _monic(poly, field)
+    for count, poly in enumerate(sorted(polys, key=max), 1):
+        if count % _DEADLINE_EVERY_GENERATORS == 0:
+            check_deadline(stage)
         key = frozenset(poly.items())
         if key not in seen:
             seen.add(key)
             add_poly(poly, degree(poly))
 
+    stage = "Buchberger reduction"
     heap: list = []
 
     def push_pairs(j: int):
@@ -481,6 +491,18 @@ def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> d
 
 
 def _inter_reduce(reducers: list[tuple], field: FieldSpec, packing: MonomialPacking) -> list[dict]:
+    """The reduced basis: minimalize, then fully reduce each element against
+    the others in one sweep.
+
+    One sweep is enough.  After minimalization no leading monomial divides
+    another, and a reduction subtracts multiples of the others only from
+    terms their leading monomials divide, so it never changes a leading
+    term: the set of leading monomials stays fixed.  A fully reduced element
+    then has no term that any of them divides (its own divides none of its
+    smaller tail terms), and reducing the others later changes neither it
+    nor that set.  So a second sweep would change nothing, and each element
+    stays monic.
+    """
     # Minimalize: scanning by ascending leading monomial keeps exactly the
     # elements whose leading term no kept element divides.  P(lm) - K
     # orders like P(lm), and div(a - K, b - K) is div(a, b).
@@ -489,20 +511,12 @@ def _inter_reduce(reducers: list[tuple], field: FieldSpec, packing: MonomialPack
         if any(packing.div(r[0], k[0]) is not None for k in kept):
             continue
         kept.append(r)
-    # Tail-reduce each element against the others until stable.
     modulus = field.modulus
     one = field.coerce(1)
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(kept)):
-            others = kept[:idx] + kept[idx + 1 :]
-            work = _polynomial(kept[idx], packing, one)
-            reduced = _monic(_reduce(work, others, packing, modulus, "basis inter-reduction"), field)
-            reduced = _reducer(reduced, packing)
-            if reduced != kept[idx]:
-                kept[idx] = reduced
-                changed = True
+    for idx in range(len(kept)):
+        work = _polynomial(kept[idx], packing, one)
+        others = kept[:idx] + kept[idx + 1 :]
+        kept[idx] = _reducer(_reduce(work, others, packing, modulus, "basis inter-reduction"), packing)
     kept.sort(key=itemgetter(0), reverse=True)
     return [_polynomial(r, packing, one) for r in kept]
 

@@ -486,11 +486,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, ring: PolyRing, notes: list[str] | None):
+    def __init__(self, text: str, ring: PolyRing):
         self.tokens = _tokenize(text)
         self.i = 0
         self.ring = ring
-        self.notes = notes
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -505,11 +504,6 @@ class _Parser:
         if tok.kind != "OP" or tok.value != op:
             raise PolyParseError(f"expected {op!r}, found {tok.value or 'end of input'!r}", tok.pos)
         return self.take()
-
-    def _note_reduction(self, value: int, pos: int):
-        p = self.ring.field.p
-        if self.notes is not None and p is not None and value >= p:
-            self.notes.append(f"coefficient {value} reduced to {value % p} modulo {p} (column {pos + 1})")
 
     def parse(self) -> Polynomial:
         poly = self.parse_expr()
@@ -566,7 +560,6 @@ class _Parser:
         if tok.kind == "NAT":
             self.take()
             num = int(tok.value)
-            self._note_reduction(num, tok.pos)
             nxt = self.peek()
             if nxt.kind == "OP" and nxt.value == "/":
                 self.take()
@@ -577,7 +570,6 @@ class _Parser:
                 den = int(den_tok.value)
                 if den == 0:
                     raise PolyParseError("zero denominator", den_tok.pos)
-                self._note_reduction(den, den_tok.pos)
                 p = self.ring.field.p
                 if p is not None and den % p == 0:
                     raise PolyParseError(f"denominator {den} is divisible by the modulus {p}", den_tok.pos)
@@ -596,10 +588,6 @@ class _Parser:
         raise PolyParseError(f"expected a number, variable, or '(', found {tok.value or 'end of input'!r}", tok.pos)
 
 
-def parse_poly(text: str, ring: PolyRing, notes: list[str] | None = None) -> Polynomial:
-    """Parse the grammar above into a canonical polynomial of `ring`.
-
-    When `notes` is a list and the field is prime, a human-readable note is
-    appended for every literal coefficient that got reduced modulo p.
-    """
-    return _Parser(text, ring, notes).parse()
+def parse_poly(text: str, ring: PolyRing) -> Polynomial:
+    """Parse the grammar above into a canonical polynomial of `ring`."""
+    return _Parser(text, ring).parse()

@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from reeskit.cli import (
+    Request,
     build_matrix,
     build_parser,
-    emit_problem,
     emit_report,
     load_problem,
     run,
@@ -47,8 +47,11 @@ class TestLoadProblem:
 
     def test_round_trip(self, tmp_path):
         pf = load_problem(write_problem(tmp_path, TWO_BY_THREE))
-        again = load_problem(emit_problem(pf))
-        assert again == pf
+        assert pf.field == FieldSpec.prime(32003)
+        assert pf.variables == ("a", "b", "c", "d", "e", "f")
+        assert pf.entries == (("a", "b", "c"), ("d", "e", "f"))
+        assert pf.t == 2
+        assert pf.requested == (Request("height"), Request("gs", s="inf"), Request("classify"))
 
     def test_round_trip_with_all_analyses(self, tmp_path):
         doc = dict(
@@ -63,7 +66,14 @@ class TestLoadProblem:
             ],
         )
         pf = load_problem(write_problem(tmp_path, doc))
-        assert load_problem(emit_problem(pf)) == pf
+        assert pf.requested == (
+            Request("height"),
+            Request("gs", s=7),
+            Request("specialize"),
+            Request("bounds", k_range=(2, 5)),
+            Request("bounds", k_range=(3, 3)),
+            Request("classify"),
+        )
 
     def test_forms_not_requestable_from_file(self, tmp_path):
         doc = dict(MINIMAL, requested=[{"analysis": "forms"}])
@@ -139,6 +149,14 @@ class TestLoadProblem:
         with pytest.raises(SchemaError) as exc:
             load_problem(write_problem(tmp_path, doc))
         assert exc.value.key == key
+
+    @pytest.mark.parametrize("k", ["1_0..1_2", " 2..3", "+2..3"])
+    def test_k_range_sides_are_decimal_digits(self, tmp_path, k):
+        # int() accepts underscores, blanks and a sign, which a single k does not.
+        doc = dict(MINIMAL, requested=[{"analysis": "height"}, {"analysis": "bounds", "k": k}])
+        with pytest.raises(SchemaError) as exc:
+            load_problem(write_problem(tmp_path, doc))
+        assert exc.value.key == "requested[1].k"
 
     def test_decimal_digits_of_any_script_are_integers(self, tmp_path):
         doc = dict(
@@ -374,6 +392,15 @@ class TestRun:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("k", ["1_0..1_2", " 2..3", "+2..3"])
+    def test_k_range_flag_sides_are_decimal_digits(self, k, capsys):
+        argv = ["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", "--field", "rationals"]
+        code = run([*argv, "--analyses", "bounds", "--k", k])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: bad k range {k!r} (key: --k)\n"
         assert captured.out == ""
 
     def test_non_decimal_digit_entry_exits_1(self, tmp_path, capsys):

@@ -99,6 +99,26 @@ class TestBuchberger:
             basis = buchberger(gens)
             assert buchberger(list(basis)) == basis
 
+    def test_inter_reduction_makes_one_sweep(self, monkeypatch, any_field):
+        stages = []
+        reduce = groebner._reduce
+
+        def spy(work, reducers, packing, modulus, stage):
+            stages.append(stage)
+            return reduce(work, reducers, packing, modulus, stage)
+
+        monkeypatch.setattr(groebner, "_reduce", spy)
+        rng = random.Random(2718)
+        ring = PolyRing(("x", "y", "z"), field=any_field)
+        for _ in range(10):
+            gens = [random_poly(rng, ring, max_terms=3, max_exp=2, allow_zero=False) for _ in range(3)]
+            stages.clear()
+            basis = buchberger(gens)
+            if basis != (ring.one(),):
+                assert_is_reduced_groebner_basis(list(basis), gens)
+                # One full reduction per element of the reduced basis.
+                assert stages.count("basis inter-reduction") == len(basis)
+
     def test_explicit_order_argument(self, qq_xy):
         from reeskit.poly import MonomialOrder
 
@@ -751,6 +771,15 @@ class TestTimeout:
         with pytest.raises(ComputationTimeout, match="during independence filter$"):
             with time_limit(0.0):
                 groebner._independent(minors, M.ring)
+
+    def test_time_limit_bounds_the_buchberger_set_up(self, fp_xyz):
+        # 300 distinct monomials: `stop` would end the run on the generators,
+        # but the set-up reads the clock at the 256th.
+        exponents = [(i, j, k) for i in range(7) for j in range(7) for k in range(7)][1:301]
+        gens = [fp_xyz.term(1, e) for e in exponents]
+        with pytest.raises(ComputationTimeout, match="during Buchberger set-up$"):
+            with time_limit(0.0):
+                buchberger(gens, stop=lambda lms: True)
 
     def test_timeout_names_the_ideal(self):
         M = generic_matrix(3, 3, "ordinary", field=F32003)
