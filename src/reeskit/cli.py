@@ -72,7 +72,7 @@ def _ext(value) -> object:
 @dataclass(frozen=True)
 class Request:
     analysis: str
-    s: object = None  # int or "inf"
+    s: object = None  # gs only: a positive int or math.inf
     k_range: tuple[int, int] | None = None
 
 
@@ -113,7 +113,7 @@ def _parse_field_value(value, key: str) -> FieldSpec:
 
 def _parse_s_value(value, key: str):
     if value in ("inf", "+inf", None):
-        return "inf"
+        return math.inf
     if isinstance(value, str) and value.isdecimal():
         value = int(value)
     if type(value) is int and value >= 1:
@@ -260,11 +260,10 @@ def _height_lines(section: dict) -> list[str]:
 
 
 def _gs_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
-    s_value = math.inf if req.s in ("inf", None) else req.s
-    report = gs.check_Gs(M, t, s_value, cache=cache)
+    report = gs.check_Gs(M, t, req.s, cache=cache)
     return {
         "analysis": "gs",
-        "s": _ext(s_value),
+        "s": _ext(req.s),
         "threshold_source": _KIND_SOURCES[M.kind].gs_threshold,
         "rows": [
             {
@@ -471,11 +470,11 @@ _SECTIONS = {
 }
 
 
-def _run_analyses(M: PolyMatrix, t: int, requests: list[Request], field: FieldSpec, order: MonomialOrder) -> dict:
+def _run_analyses(M: PolyMatrix, t: int, requests: list[Request]) -> dict:
     cache = groebner.LowerIdealCache(M)
     return {
         "format": 1,
-        "banner": {"field": str(field), "order": order.value},
+        "banner": {"field": str(M.ring.field), "order": M.ring.order.value},
         "matrix": {
             "kind": M.kind.value,
             "m": M.m,
@@ -561,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _flag_request(name: str, args: argparse.Namespace) -> Request:
     """The request for one analysis, with its --s or --k."""
     if name == "gs":
-        return Request("gs", s=_parse_s_value(args.s or "inf", "--s"))
+        return Request("gs", s=_parse_s_value(args.s, "--s"))
     if name == "bounds":
         if args.k is None:
             raise InputError("bounds needs --k")
@@ -612,7 +611,7 @@ def run(argv) -> int:
             if args.command == "analyze":
                 requests = list(pf.requested) or [
                     Request("height"),
-                    Request("gs", s="inf"),
+                    Request("gs", s=math.inf),
                     Request("specialize"),
                     Request("classify"),
                 ]
@@ -621,7 +620,7 @@ def run(argv) -> int:
 
         limit = contextlib.nullcontext() if args.timeout is None else groebner.time_limit(args.timeout)
         with limit:
-            report = _run_analyses(M, t, requests, field, order)
+            report = _run_analyses(M, t, requests)
 
         sys.stdout.write(emit_report(report, "structured" if args.json else "text"))
         return 0

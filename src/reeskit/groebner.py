@@ -93,7 +93,9 @@ run.
 
 An ideal of minors or Pfaffians is generated by those that are linearly
 independent, in selector order: the rest lie in their span and add nothing
-to the ideal.
+to the ideal.  `_independent` is the one generator filter; it drops
+repeats and scalar multiples with the rest, and Buchberger takes any other
+generators as given.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit` (module `deadline`, which lists the
@@ -132,17 +134,13 @@ _DEADLINE_EVERY_STEPS = 256
 _DEADLINE_EVERY_GENERATORS = 256
 
 
-def _reringed(gens: Sequence[Polynomial], order: MonomialOrder | None) -> tuple[list[Polynomial], PolyRing]:
-    if not gens:
-        raise DomainError("need at least one generator to infer the ring; use IdealHandle for the zero ideal")
+def _ring_of(gens: Sequence[Polynomial]) -> PolyRing:
+    """The one ring that all of the (at least one) generators live in."""
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators live in different rings")
-    if order is not None and order != ring.order:
-        ring = PolyRing(ring.variables, field=ring.field, order=order)
-        gens = [Polynomial(ring, g.terms) for g in gens]
-    return list(gens), ring
+    return ring
 
 
 def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -343,16 +341,15 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def buchberger(
-    gens: Sequence[Polynomial],
-    order: MonomialOrder | None = None,
-    *,
-    stop: Callable[[list[Monomial]], bool] | None = None,
+    gens: Sequence[Polynomial], *, stop: Callable[[list[Monomial]], bool] | None = None
 ) -> tuple[Polynomial, ...]:
-    """Reduced Groebner basis of the ideal the generators span.
+    """Reduced Groebner basis of the ideal the generators span, for the
+    order of their ring.
 
     Deterministic: sugar-degree selection with lcm/index tie-breaks, and the
     reduced basis is unique for (ideal, order) anyway.  Returns generators
-    sorted by descending leading monomial.
+    sorted by descending leading monomial.  Repeated generators need no
+    filter: their S-pairs reduce to zero.
 
     With `stop`, the result is not inter-reduced and may be only part of a
     Groebner basis.  `stop` is called with the leading monomials found so
@@ -364,7 +361,7 @@ def buchberger(
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         return ()
-    gens, ring = _reringed(gens, order)
+    ring = _ring_of(gens)
     if any(g.degree() == 0 for g in gens):
         return (ring.one(),)
     packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing, stop))
@@ -404,14 +401,10 @@ def _buchberger(
         if count % _DEADLINE_EVERY_GENERATORS == 0:
             check_deadline(stage)
         polys.append(_monic(_pack(packing, g), field))
-    seen: set = set()
     for count, poly in enumerate(sorted(polys, key=max), 1):
         if count % _DEADLINE_EVERY_GENERATORS == 0:
             check_deadline(stage)
-        key = frozenset(poly.items())
-        if key not in seen:
-            seen.add(key)
-            add_poly(poly, degree(poly))
+        add_poly(poly, degree(poly))
 
     stage = "Buchberger reduction"
     heap: list = []
@@ -653,35 +646,36 @@ def _named(method):
 
 
 class IdealHandle:
-    """An ideal with lazily cached Groebner data.
+    """An ideal of a polynomial ring, with lazily cached Groebner data.
 
-    `ceiling`, when given, is an upper bound on the height of the ideal
-    whenever it is proper; `height` may then stop Buchberger early (see the
-    module docstring).  `name` (for example `minors(3)`) appears in timeout
-    messages.  The cache is computed once per handle (idempotent under
-    CPython's GIL); values themselves are immutable and safe to share.
+    The ring is the generators' ring, whose order every basis is for; the
+    zero ideal names it with `ring`.  `ceiling`, when given, is an upper
+    bound on the height of the ideal whenever it is proper; `height` may
+    then stop Buchberger early (see the module docstring), and the
+    dimension, unit and zero queries read the height.  `name` (for example
+    `minors(3)`) appears in timeout messages.  The cache is computed once
+    per handle (idempotent under CPython's GIL); values themselves are
+    immutable and safe to share.
     """
 
     def __init__(
         self,
         generators: Iterable[Polynomial],
         ring: PolyRing | None = None,
-        order: MonomialOrder | None = None,
         *,
         ceiling: int | None = None,
         name: str | None = None,
     ):
         gens = tuple(generators)
         if gens:
-            ring = gens[0].ring
-            for g in gens:
-                if g.ring != ring:
-                    raise RingMismatchError("generators live in different rings")
+            gens_ring = _ring_of(gens)
+            if ring is not None and ring != gens_ring:
+                raise RingMismatchError("the generators live in a different ring from the one given")
+            ring = gens_ring
         elif ring is None:
             raise DomainError("the zero ideal needs an explicit ring")
         self.generators = gens
         self.ring = ring
-        self.order = order if order is not None else ring.order
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
         self._basis: tuple[Polynomial, ...] | None = None
@@ -690,25 +684,26 @@ class IdealHandle:
     @_named
     def groebner_basis(self) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = buchberger(self.generators, self.order) if self.generators else ()
+            self._basis = buchberger(self.generators)
         return self._basis
 
     def is_unit(self) -> bool:
-        gb = self.groebner_basis()
-        return len(gb) == 1 and gb[0].degree() == 0
+        """Only the unit ideal has infinite (extended) height."""
+        return self.height() == math.inf
 
     def is_zero(self) -> bool:
-        return not self.groebner_basis()
+        """The ring is a domain, so every nonzero element, and with it every
+        nonzero ideal, lies outside the zero prime: only 0 has height 0."""
+        return self.height() == 0
 
-    @_named
     def quotient_dimension(self) -> int:
-        """dim of R/I; nvars for the zero ideal, -1 for the unit ideal."""
-        if self.is_zero():
-            return self.ring.nvars
-        if self.is_unit():
-            return -1
-        lts = [g.leading_monomial() for g in self.groebner_basis()]
-        return monomial_ideal_dimension(lts, self.ring.nvars)
+        """dim of R/I; nvars for the zero ideal, -1 for the unit ideal.
+
+        R is a polynomial ring over a field, so dim R/P + ht P = nvars for
+        every prime P, and dim R/I, the largest dim R/P over the minimal
+        primes P of I, is nvars - ht I."""
+        h = self.height()
+        return -1 if h == math.inf else self.ring.nvars - h
 
     @_named
     def height(self):
@@ -726,8 +721,8 @@ class IdealHandle:
                 return reached
 
             homogeneous = all(homogeneous_degree(g) is not None for g in self.generators)
-            if self._basis is None and self.generators and homogeneous:
-                basis = buchberger(self.generators, self.order, stop=at_ceiling)
+            if self._basis is None and homogeneous:
+                basis = buchberger(self.generators, stop=at_ceiling)
             else:
                 basis = self.groebner_basis()
             if not basis:
@@ -743,11 +738,11 @@ class IdealHandle:
 
     @_named
     def reduce(self, p: Polynomial) -> Polynomial:
-        basis = self.groebner_basis()
-        if basis and p.ring != basis[0].ring and p.ring.variables == basis[0].ring.variables:
-            # The handle carries an explicit order; move p into that ring.
-            p = Polynomial(basis[0].ring, p.terms)
-        return normal_form(p, basis)
+        """The normal form of p by the reduced basis; p must lie in the
+        handle's ring."""
+        if p.ring != self.ring:
+            raise RingMismatchError("the polynomial lives in a different ring from the ideal")
+        return normal_form(p, self.groebner_basis())
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.generators)} generators over {self.ring})"

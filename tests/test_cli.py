@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -51,7 +52,7 @@ class TestLoadProblem:
         assert pf.variables == ("a", "b", "c", "d", "e", "f")
         assert pf.entries == (("a", "b", "c"), ("d", "e", "f"))
         assert pf.t == 2
-        assert pf.requested == (Request("height"), Request("gs", s="inf"), Request("classify"))
+        assert pf.requested == (Request("height"), Request("gs", s=math.inf), Request("classify"))
 
     def test_round_trip_with_all_analyses(self, tmp_path):
         doc = dict(
@@ -403,6 +404,19 @@ class TestRun:
         assert captured.err == f"error: bad k range {k!r} (key: --k)\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["generic", "gs"])
+    def test_empty_s_flag_exits_1(self, command, tmp_path, capsys):
+        # An empty --s is not s = inf, as an empty "s" in a problem file is not.
+        if command == "generic":
+            argv = ["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", "--analyses", "gs"]
+        else:
+            argv = ["gs", write_problem(tmp_path, TWO_BY_THREE)]
+        code = run([*argv, "--s", ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: s must be a positive integer or 'inf', got '' (key: --s)\n"
+        assert captured.out == ""
+
     def test_non_decimal_digit_entry_exits_1(self, tmp_path, capsys):
         doc = dict(MINIMAL, matrix={"kind": "ordinary", "entries": [["x^²"]]})
         code = run(["height", write_problem(tmp_path, doc)])
@@ -472,8 +486,17 @@ class TestDeterminism:
 
         pf = load(write_problem(tmp_path, TWO_BY_THREE))
         M = build_matrix(pf, FieldSpec.prime(32003), MonomialOrder.GREVLEX)
-        report = _run_analyses(M, pf.t, list(pf.requested), FieldSpec.prime(32003), MonomialOrder.GREVLEX)
+        report = _run_analyses(M, pf.t, list(pf.requested))
         assert json.loads(emit_report(report, "structured")) == report
+
+    def test_banner_states_the_matrix_ring(self):
+        from reeskit.cli import _run_analyses, render_text
+        from reeskit.matrixalg import generic_matrix
+
+        M = generic_matrix(2, 3, "ordinary", field=FieldSpec.rationals(), order=MonomialOrder.LEX)
+        report = _run_analyses(M, 2, [Request("height")])
+        assert report["banner"] == {"field": "QQ", "order": "lex"}
+        assert render_text(report).startswith("field QQ | order lex\n")
 
 
 NUMERIC_CLAIM_MARKERS = (

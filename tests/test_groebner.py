@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import reeskit.groebner as groebner
-from reeskit.errors import ComputationTimeout, DomainError
+from reeskit.errors import ComputationTimeout, DomainError, RingMismatchError
 from reeskit.groebner import (
     IdealHandle,
     LowerIdealCache,
@@ -26,7 +26,7 @@ from reeskit.gs import ProblemInstance, min_gens_generic
 from reeskit.matrixalg import PolyMatrix, enumerate_minors, generic_matrix
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
-from conftest import brute_force_dimension, random_poly
+from conftest import brute_force_dimension, random_coeff, random_poly
 
 F32003 = FieldSpec.prime(32003)
 
@@ -89,6 +89,17 @@ class TestBuchberger:
             if basis:
                 assert_is_reduced_groebner_basis(list(basis), gens)
 
+    def test_repeats_and_scalar_multiples_leave_the_basis_unchanged(self, any_field):
+        # No generator filter runs before Buchberger: the S-pairs of a repeat
+        # reduce to zero, and the reduced basis is unique.
+        rng = random.Random(f"repeats:{any_field}")
+        ring = PolyRing(("x", "y", "z"), field=any_field)
+        for _ in range(25):
+            gens = [random_poly(rng, ring, max_terms=3, max_exp=2, allow_zero=False) for _ in range(rng.randint(1, 3))]
+            padded = gens + [g * random_coeff(rng, any_field) for g in rng.choices(gens, k=3)]
+            rng.shuffle(padded)
+            assert buchberger(padded) == buchberger(gens)
+
     def test_deterministic_output(self, fp_xyz):
         gens = [parse_poly("x*y - z^2", fp_xyz), parse_poly("x^2 - y*z", fp_xyz)]
         assert buchberger(gens) == buchberger(list(reversed(gens)))
@@ -119,14 +130,14 @@ class TestBuchberger:
                 # One full reduction per element of the reduced basis.
                 assert stages.count("basis inter-reduction") == len(basis)
 
-    def test_explicit_order_argument(self, qq_xy):
-        from reeskit.poly import MonomialOrder
-
-        x, y = qq_xy.gens()
-        lex_basis = buchberger([x * x - y, x * y - 1], MonomialOrder.LEX)
+    def test_explicit_order_argument(self):
+        # A basis is for the order of its ring: a lex basis needs a lex ring.
+        lex = PolyRing(("x", "y"), field=FieldSpec.rationals(), order=MonomialOrder.LEX)
+        x, y = lex.gens()
+        lex_basis = buchberger([x * x - y, x * y - 1])
         strings = {str(g) for g in lex_basis}
         assert strings == {"x - y^2", "y^3 - 1"}
-        handle = IdealHandle([x * x - y, x * y - 1], order=MonomialOrder.LEX)
+        handle = IdealHandle([x * x - y, x * y - 1])
         assert handle.reduce(x - y * y).is_zero
 
 
@@ -425,6 +436,23 @@ class TestHeight:
         with pytest.raises(DomainError):
             IdealHandle([])
 
+    def test_a_given_ring_must_be_the_generators_ring(self, qq_xy, fp_xyz):
+        x = fp_xyz.gens()[0]
+        with pytest.raises(RingMismatchError):
+            IdealHandle([x], ring=qq_xy)
+        lex = PolyRing(fp_xyz.variables, field=fp_xyz.field, order=MonomialOrder.LEX)
+        with pytest.raises(RingMismatchError):
+            IdealHandle([x], ring=lex)
+        assert IdealHandle([x], ring=fp_xyz).ring == fp_xyz
+
+    def test_reduce_takes_only_the_handles_ring(self, fp_xyz):
+        x, y, z = fp_xyz.gens()
+        lex = PolyRing(fp_xyz.variables, field=fp_xyz.field, order=MonomialOrder.LEX)
+        with pytest.raises(RingMismatchError):
+            IdealHandle([x * y - z]).reduce(lex.gens()[0])
+        with pytest.raises(RingMismatchError):
+            IdealHandle([], ring=fp_xyz).reduce(lex.gens()[0])
+
     def test_invariance_under_permutation_and_scaling(self, fp_xyz):
         gens = [parse_poly("x*y - z^2", fp_xyz), parse_poly("x^2 - y*z", fp_xyz), parse_poly("y^2 - x*z", fp_xyz)]
         h = IdealHandle(gens).height()
@@ -457,7 +485,7 @@ class TestHeight:
 
 def full_run_height(I: IdealHandle):
     """Height from the leading terms of the complete reduced basis."""
-    basis = buchberger(I.generators, I.order)
+    basis = buchberger(I.generators)
     if not basis:
         return 0
     if basis[0].degree() == 0:
@@ -623,6 +651,54 @@ class TestHeightCeiling:
         ring = PolyRing(("a", "b"), field=F32003)
         a, b = ring.gens()
         assert ideal_of_minors(PolyMatrix("ordinary", [[a, b, a + b]] * 3), 1).ceiling == 2
+
+
+def random_generators(rng: random.Random, ring: PolyRing) -> list:
+    """Generators of a random ideal: forms, polynomials of mixed degree, or
+    either with a constant (the unit ideal) or all zero (the zero ideal)."""
+    shape = rng.choice(("forms", "mixed", "unit", "zero"))
+    if shape == "zero":
+        return [ring.zero()] * rng.randint(0, 2)
+    count = rng.randint(1, 4)
+    if shape == "mixed":
+        gens = [random_poly(rng, ring, max_terms=3, max_exp=2) for _ in range(count)]
+    else:
+        gens = [random_form(rng, ring, rng.randint(1, 3)) for _ in range(count)]
+    if shape == "unit":
+        gens.insert(rng.randrange(count + 1), ring.constant(random_coeff(rng, ring.field)))
+    return gens
+
+
+class TestQueriesFromTheHeight:
+    """`quotient_dimension`, `is_unit` and `is_zero` read the height, which
+    may stop at the ceiling; the reference is the complete reduced basis."""
+
+    def test_queries_agree_with_the_full_run(self, any_field):
+        rng = random.Random(f"queries:{any_field}")
+        shapes = set()
+        for trial in range(80):
+            order = rng.choice(list(MonomialOrder))
+            ring = PolyRing(tuple(f"v{i}" for i in range(rng.randint(1, 4))), field=any_field, order=order)
+            if trial % 2:
+                I = random_ideal(rng, ring)
+                gens, ceiling = I.generators, I.ceiling
+            else:
+                gens, ceiling = random_generators(rng, ring), None
+            basis = buchberger(gens)
+            nvars = ring.nvars
+            dim = monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
+            unit, zero = basis == (ring.one(),), basis == ()
+            shapes.add((unit, zero))
+
+            def handle():
+                return IdealHandle(gens, ring=ring, ceiling=ceiling)
+
+            assert handle().height() == full_run_height(handle()), gens
+            assert handle().quotient_dimension() == dim, gens
+            assert handle().is_unit() == unit, gens
+            assert handle().is_zero() == zero, gens
+        # Proper nonzero ideals, unit ideals and zero ideals all occurred.
+        assert shapes == {(False, False), (True, False), (False, True)}
 
 
 class TestIdealConventions:

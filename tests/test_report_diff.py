@@ -37,6 +37,14 @@ def test_a_differing_run_is_printed(tmp_path):
     assert done.stdout.endswith("2 runs, 2 differ\n")
 
 
+def test_a_calls_file_runs_alone(tmp_path):
+    calls = tmp_path / "calls.txt"
+    calls.write_text("generic --kind ordinary --m 2 --n 3 --t 2 --analyses height\n")
+    done = run_tool(ROOT, ROOT, "--only", "--calls", calls)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout == "1 runs, 0 differ\n"
+
+
 def test_unknown_problem_is_an_error():
     done = run_tool(ROOT, ROOT, "--only", "no-such-problem")
     assert done.returncode == 2

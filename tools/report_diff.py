@@ -1,15 +1,18 @@
 """Compare the reports of two reeskit source trees, run by run.
 
-    python3 tools/report_diff.py OLD_TREE NEW_TREE [--calls FILE] [--only ID ...]
+    python3 tools/report_diff.py OLD_TREE NEW_TREE [--calls FILE] [--only [ID ...]]
 
 Each tree is a directory holding `src/reeskit`.  The runs are every base
 problem of every perfbench workload, as written (no seeded presentation),
 followed by the command lines in FILE, one per line in shell quoting
 (blank lines and lines starting with `#` are skipped).  `--only` keeps the
-named base problems and drops the rest.  Every run starts its own
+named base problems and drops the rest; with no ID it drops them all, so
+`--only --calls FILE` runs the calls file alone.  Every run starts its own
 `python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a time,
 first on OLD_TREE and then on NEW_TREE, in the same working directory and
-with the same problem file.
+with the same problem file.  The problem file of every base problem is
+written there as ID.json, whether it runs or not, so a calls line can
+name one.
 
 It prints each run whose exit code, stdout or stderr differs, with a
 unified diff of the streams that differ, and exits 1 if any run differs,
@@ -39,19 +42,19 @@ RUN_CAP_S = 600
 
 
 def base_runs(only: set[str] | None, workdir: Path) -> list[tuple[str, list[str]]]:
-    """(id, argv) of each base problem as written; problem files go in workdir."""
+    """(id, argv) of each base problem as written, for the ids in `only`
+    (all when None); every base problem's file goes in workdir."""
     runs = []
     for workload, bases in corpus.BASES.items():
         for base in bases:
-            if only is not None and base.id not in only:
-                continue
             p = corpus.problem(base, None, base.id, None)
             argv = p["argv"]
             if p["doc"] is not None:
                 path = workdir / f"{base.id}.json"
                 path.write_text(json.dumps(p["doc"]), encoding="utf-8")
                 argv = [str(path) if a == "{file}" else a for a in argv]
-            runs.append((f"{workload}/{base.id}", argv))
+            if only is None or base.id in only:
+                runs.append((f"{workload}/{base.id}", argv))
     return runs
 
 
@@ -99,7 +102,7 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="source tree run first")
     parser.add_argument("new", type=Path, help="source tree compared with it")
     parser.add_argument("--calls", type=Path, help="file of extra command lines, one per line")
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these base problems")
+    parser.add_argument("--only", nargs="*", metavar="ID", help="run only these base problems (none without an ID)")
     args = parser.parse_args(argv)
     for tree in (args.old, args.new):
         if not (tree / "src" / "reeskit").is_dir():
@@ -110,7 +113,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
         workdir = Path(tmp)
-        runs = base_runs(set(args.only) if args.only else None, workdir)
+        runs = base_runs(None if args.only is None else set(args.only), workdir)
         if args.calls is not None:
             runs += call_runs(args.calls)
         differing = 0
