@@ -72,13 +72,9 @@ from .poly import (
 )
 from .resolutions import (
     NEG_INF,
-    NOT_KNOWN,
     abw_generation_degree,
     ku_generation_degree,
-    max_pdim_powers,
     n_constants,
-    regularity_power,
-    sigma_threshold,
 )
 
 __version__ = "0.1.0"

@@ -413,13 +413,6 @@ BOUND_RULES = (
 )
 
 
-def select_bound_rule(inst: ProblemInstance) -> str | None:
-    """Which degree-bound criterion covers the instance; None when nothing
-    does.  Exactly one criterion (or None) per parameter tuple."""
-    rule = next(matching(BOUND_RULES, inst), None)
-    return None if rule is None else rule.name
-
-
 def degree_bounds(inst: ProblemInstance, k: int, *, hypotheses_attested: bool = False) -> DegreeBoundsResult:
     """Bounds on b0 and td of the degree-k piece of the defining ideal.
 

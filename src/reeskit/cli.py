@@ -155,7 +155,7 @@ def load_problem(path) -> ProblemFile:
     for key in doc:
         if key not in known:
             raise SchemaError("unknown key", key=key)
-    if doc.get("format") != 1 or doc["format"] is True:
+    if type(doc.get("format")) is not int or doc["format"] != 1:
         raise SchemaError("missing or unsupported format version (expected format: 1)", key="format")
     field_spec = _parse_field_value(doc["field"], "field") if "field" in doc else None
     variables = doc.get("variables")
@@ -599,8 +599,9 @@ def run(argv) -> int:
                 if name not in _ANALYSES:
                     raise InputError(f"unknown analysis {name!r}")
                 requests.append(_flag_request(name, args))
-            if args.k is not None and not any(r.analysis == "bounds" for r in requests):
-                requests.append(_flag_request("bounds", args))
+            for name, flag in (("gs", args.s), ("bounds", args.k)):
+                if flag is not None and not any(r.analysis == name for r in requests):
+                    requests.append(_flag_request(name, args))
             # Rejects a bad t before any Groebner work.
             ProblemInstance.from_matrix(M, t)
         else:

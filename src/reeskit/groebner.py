@@ -846,9 +846,6 @@ class GenericHeightReport:
     kind: MatrixKind
     t: int
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def is_generic_height(M: PolyMatrix, t: int) -> GenericHeightReport:
     """Does I_t(M) (resp. Pf_t(M)) reach the maximal height?

@@ -9,7 +9,7 @@ form for generic matrices, including the one exceptional family
 (3 <= t = m, n = m+3) where the answer is 18.
 
 SPECIALIZATION_CASES holds the Prop 4.7 schedules of cases i-v (capped at d
-by Cor 5.1.4); `bounds` and `resolutions` take their case split from it.
+by Cor 5.1.4); `bounds` takes its case split from it.
 
 Convention: `t` counts minors for ordinary/symmetric matrices; for
 alternating matrices `t` is half the Pfaffian size (the ideal is Pf_{2t}).
@@ -73,12 +73,6 @@ class ProblemInstance:
     def size(self) -> int:
         """Size of the minors or Pfaffians generating the ideal."""
         return self.size_at(self.t)
-
-    @property
-    def pfaffian_size(self) -> int:
-        if self.kind is not MatrixKind.ALTERNATING:
-            raise DomainError("pfaffian_size is only defined for alternating instances")
-        return self.size
 
     @classmethod
     def from_matrix(cls, M: PolyMatrix, t: int) -> "ProblemInstance":

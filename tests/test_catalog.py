@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from reeskit.bounds import CONCLUSION_RULES, STATUS_RULES, degree_bounds, select_bound_rule
+from reeskit.bounds import BOUND_RULES, CONCLUSION_RULES, STATUS_RULES, degree_bounds
 from reeskit.cli import _KIND_SOURCES
 from reeskit.gs import SPECIALIZATION_CASES, ProblemInstance, matching, specialization_case
 
@@ -108,7 +108,7 @@ def emitted_labels() -> set[str]:
     labels |= {case.source(capped) for case in SPECIALIZATION_CASES for capped in (False, True)}
     labels |= {label for sources in _KIND_SOURCES.values() for label in sources}
     for inst in GRID:
-        if inst.char != 0 or inst.d > 13 or select_bound_rule(inst) is None:
+        if inst.char != 0 or inst.d > 13 or next(matching(BOUND_RULES, inst), None) is None:
             continue
         for k in range(1, 12):
             result = degree_bounds(inst, k, hypotheses_attested=True)
@@ -123,3 +123,7 @@ def test_every_emitted_label_has_a_readme_row():
     emitted = emitted_labels()
     assert {"Thm 5.2.2a", "Thm 5.4.3c", "Thm 5.4.5b", "Prop 5.4.1f", "Cor 5.1.4v", "Lemma 4.4c"} <= emitted
     assert emitted - readme_labels() == set()
+
+
+def test_every_readme_row_is_an_emitted_label():
+    assert readme_labels() - emitted_labels() == set()

@@ -120,6 +120,11 @@ class TestLoadProblem:
             load_problem(write_problem(tmp_path, doc))
         assert exc.value.key == key
 
+    def test_float_format_is_not_format_1(self, tmp_path):
+        with pytest.raises(SchemaError) as exc:
+            load_problem(write_problem(tmp_path, dict(MINIMAL, format=1.0)))
+        assert exc.value.key == "format"
+
     @pytest.mark.parametrize(
         "request_item,key",
         [
@@ -416,6 +421,22 @@ class TestRun:
         assert code == 1
         assert captured.err == "error: s must be a positive integer or 'inf', got '' (key: --s)\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("s", ["0", "abc"])
+    def test_s_flag_is_parsed_without_gs_in_analyses(self, s, capsys):
+        code = run(["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", "--analyses", "height", "--s", s])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: s must be a positive integer or 'inf', got ")
+        assert captured.err.endswith(" (key: --s)\n")
+        assert captured.out == ""
+
+    def test_s_flag_adds_a_gs_section(self, capsys):
+        # As --k adds a bounds section when --analyses leaves bounds out.
+        argv = ["generic", "--kind", "ordinary", "--m", "2", "--n", "3", "--t", "2", "--analyses", "", "--s", "3"]
+        assert run([*argv, "--json"]) == 0
+        sections = json.loads(capsys.readouterr().out)["analyses"]
+        assert [(sec["analysis"], sec["s"]) for sec in sections] == [("gs", 3)]
 
     def test_non_decimal_digit_entry_exits_1(self, tmp_path, capsys):
         doc = dict(MINIMAL, matrix={"kind": "ordinary", "entries": [["x^²"]]})

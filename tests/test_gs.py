@@ -17,7 +17,7 @@ def inst(kind, m, n, t, d=1, delta=1, char=0):
 class TestProblemInstance:
     def test_alternating_stores_half_size(self):
         i = inst("alternating", 6, 6, 2)
-        assert i.pfaffian_size == 4
+        assert i.size == 4
 
     def test_range_validation(self):
         with pytest.raises(DomainError):

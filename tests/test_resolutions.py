@@ -3,24 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from reeskit.errors import CharacteristicError, DomainError, NotApplicableError
-from reeskit.gs import ProblemInstance
-from reeskit.resolutions import (
-    NEG_INF,
-    NOT_KNOWN,
-    abw_generation_degree,
-    ku_generation_degree,
-    max_pdim_powers,
-    n_constants,
-    regularity_power,
-    sigma_threshold,
-)
+from reeskit.errors import DomainError
+from reeskit.resolutions import NEG_INF, abw_generation_degree, ku_generation_degree, n_constants
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def inst(kind, m, n, t, d=1, delta=1, char=0):
-    return ProblemInstance(kind=kind, m=m, n=n, t=t, d=d, delta=delta, char=char)
 
 
 class TestAbw:
@@ -84,83 +70,6 @@ class TestKu:
             ku_generation_degree(1, 1, 0)
         with pytest.raises(DomainError):
             ku_generation_degree(5, 0, 0)
-
-
-class TestMaxPdim:
-    def test_examples(self):
-        assert max_pdim_powers(inst("ordinary", 2, 5, 2)).value == 6
-        assert max_pdim_powers(inst("alternating", 5, 5, 2)).value == 4
-        assert max_pdim_powers(inst("symmetric", 4, 4, 2)).value == 9
-
-    def test_sources(self):
-        assert max_pdim_powers(inst("ordinary", 2, 5, 2)).source == "Lemma 4.3i"
-        assert max_pdim_powers(inst("ordinary", 3, 5, 2)).source == "Lemma 4.3ii"
-        assert max_pdim_powers(inst("alternating", 8, 8, 2)).source == "Lemma 4.3v"
-
-    def test_not_applicable_cases(self):
-        with pytest.raises(NotApplicableError):
-            max_pdim_powers(inst("symmetric", 3, 3, 3))
-        with pytest.raises(NotApplicableError):
-            max_pdim_powers(inst("alternating", 6, 6, 3))
-
-
-class TestSigma:
-    def test_examples(self):
-        assert sigma_threshold(inst("ordinary", 3, 5, 3), 1).value == 5
-        assert sigma_threshold(inst("ordinary", 3, 3, 2), 1).value == 4
-        assert sigma_threshold(inst("alternating", 8, 8, 3), 2).value == 6
-
-    def test_strictly_decreasing_in_j(self):
-        cases = [
-            inst("ordinary", 4, 7, 4),
-            inst("ordinary", 5, 6, 3),
-            inst("symmetric", 6, 6, 4),
-            inst("alternating", 9, 9, 4),
-            inst("alternating", 10, 10, 4),
-        ]
-        for case in cases:
-            if case.kind.value == "ordinary" and case.t == case.m:
-                js = range(1, case.m)
-            elif case.kind.value == "alternating" and 2 * case.t == case.n - 1:
-                js = range(1, (case.n - 3) // 2 + 1)
-            else:
-                js = range(1, case.t)
-            values = [sigma_threshold(case, j).value for j in js]
-            assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_submaximal_pfaffian_case(self):
-        assert sigma_threshold(inst("alternating", 9, 9, 4), 1).value == 7
-        assert sigma_threshold(inst("alternating", 9, 9, 4), 3).value == 3
-
-    def test_range_validation(self):
-        with pytest.raises(DomainError):
-            sigma_threshold(inst("ordinary", 3, 5, 3), 3)
-        with pytest.raises(NotApplicableError):
-            sigma_threshold(inst("alternating", 6, 6, 3), 1)
-
-
-class TestRegularity:
-    def test_size2_examples(self):
-        assert regularity_power(inst("ordinary", 5, 5, 2), 3).value == 7
-        assert regularity_power(inst("ordinary", 5, 5, 2), 9).value == 18
-        assert regularity_power(inst("ordinary", 5, 5, 2), 1).value is NOT_KNOWN
-
-    def test_submaximal_square(self):
-        # t = n-1 = 3, m = n = 4: reg of high powers is 3k + N(4) = 3k + 1.
-        assert regularity_power(inst("ordinary", 4, 4, 3), 5).value == 16
-        assert regularity_power(inst("ordinary", 4, 4, 3), 2).value is NOT_KNOWN
-
-    def test_general_minors(self):
-        # 2 < t < m: reg = t*k + N(t) once k >= m-1.
-        assert regularity_power(inst("ordinary", 5, 6, 3), 4).value == 13
-        assert regularity_power(inst("ordinary", 5, 6, 3), 3).value is NOT_KNOWN
-
-    def test_alternating_not_known(self):
-        assert regularity_power(inst("alternating", 8, 8, 2), 10).value is NOT_KNOWN
-
-    def test_characteristic_guard(self):
-        with pytest.raises(CharacteristicError):
-            regularity_power(inst("ordinary", 5, 5, 2, char=7), 3)
 
 
 class TestNConstants:
