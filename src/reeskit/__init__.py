@@ -38,7 +38,6 @@ from .groebner import (
     LowerIdealCache,
     buchberger,
     expected_generic_height,
-    height,
     ideal_of_minors,
     ideal_of_pfaffians,
     is_generic_height,

@@ -95,7 +95,6 @@ class HypothesisRow:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    mode: str  # "specialization" (uncapped) or "bounds" (capped by d)
     case: str  # i..v
     source: str
     per_j: tuple[HypothesisRow, ...]
@@ -169,7 +168,6 @@ def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | 
         actual = cache.lower_height(j)
         rows.append(HypothesisRow(j=j, required=required, actual=actual, satisfied=actual >= required))
     return HypothesisReport(
-        mode=mode,
         case=case.tag,
         source=case.source(capped),
         per_j=tuple(rows),

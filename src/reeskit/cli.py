@@ -607,7 +607,6 @@ def run(argv) -> int:
         else:
             pf = load_problem(args.file)
             field = flag_field or pf.field or DEFAULT_FIELD
-            M = build_matrix(pf, field, order)
             t = pf.t
             if args.command == "analyze":
                 requests = list(pf.requested) or [
@@ -621,6 +620,9 @@ def run(argv) -> int:
 
         limit = contextlib.nullcontext() if args.timeout is None else groebner.time_limit(args.timeout)
         with limit:
+            if args.command != "generic":
+                # Parsing the entries multiplies polynomials: the limit bounds it too.
+                M = build_matrix(pf, field, order)
             report = _run_analyses(M, t, requests)
 
         sys.stdout.write(emit_report(report, "structured" if args.json else "text"))

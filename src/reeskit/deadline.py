@@ -1,13 +1,13 @@
 """The one deadline that `--timeout` sets, read by the long-running loops.
 
 `time_limit(seconds)` bounds the work inside its block.  The loops that
-can run long (enumeration of minors and Pfaffians, the independence
-filter, the Buchberger set-up and main loop, reductions, the height
-ceiling check and the dimension search) call `check_deadline` with the
-name of their stage, for example `Buchberger set-up`; past the
-deadline that raises ComputationTimeout naming the stage and, inside
-`ideal_named`, the ideal.  Both values are ContextVars, so threads and
-contexts do not share them.
+can run long (polynomial products, enumeration of minors and Pfaffians,
+the independence filter, the Buchberger set-up and main loop, reductions,
+the height ceiling check and the dimension search) call `check_deadline`
+with the name of their stage, for example `polynomial arithmetic` or
+`Buchberger set-up`; past the deadline that raises ComputationTimeout
+naming the stage and, inside `ideal_named`, the ideal.  Both values are
+ContextVars, so threads and contexts do not share them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class ideal_named:
     """Name the ideal (for example `minors(3)`) in timeouts inside the block.
 
     A class, not a `contextmanager` generator, because it is entered on
-    every call of an `IdealHandle` method and the class costs less there."""
+    every `IdealHandle.height` call and the class costs less there."""
 
     __slots__ = ("_name", "_token")
 

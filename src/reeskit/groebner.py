@@ -86,10 +86,10 @@ if they do.  The answer is then exactly c:
   the height comes from the full leading-term ideal as above.
 
 The check computes ht J by the same recursion as the dimension search
-and compares it with c.  The height path also skips the inter-reduction,
-since the leading terms of any Groebner basis generate in(I).
-Inhomogeneous generators may span the unit ideal, so they take the full
-run.
+and compares it with c.  Inhomogeneous generators may span the unit
+ideal, so their run has no ceiling test and completes.  Every height run
+skips the inter-reduction, since the leading terms of any Groebner basis
+generate in(I).
 
 An ideal of minors or Pfaffians is generated by those that are linearly
 independent, in selector order: the rest lie in their span and add nothing
@@ -634,28 +634,15 @@ def _support_height(supports: list[int], stage: str) -> int:
     return height(supports)
 
 
-def _named(method):
-    """Runs an IdealHandle method with the handle's name on timeout messages."""
-
-    @functools.wraps(method)
-    def wrapper(self, *args):
-        with ideal_named(self.name):
-            return method(self, *args)
-
-    return wrapper
-
-
 class IdealHandle:
-    """An ideal of a polynomial ring, with lazily cached Groebner data.
+    """An ideal of a polynomial ring, answering its height.
 
-    The ring is the generators' ring, whose order every basis is for; the
-    zero ideal names it with `ring`.  `ceiling`, when given, is an upper
-    bound on the height of the ideal whenever it is proper; `height` may
-    then stop Buchberger early (see the module docstring), and the
-    dimension, unit and zero queries read the height.  `name` (for example
-    `minors(3)`) appears in timeout messages.  The cache is computed once
-    per handle (idempotent under CPython's GIL); values themselves are
-    immutable and safe to share.
+    The ring is the generators' ring; the zero ideal names it with `ring`.
+    `ceiling`, when given, is an upper bound on the height of the ideal
+    whenever it is proper, at which `height` may stop Buchberger early when
+    the generators are homogeneous; inhomogeneous generators take the same
+    run with no ceiling test (see the module docstring).  `name` (for
+    example `minors(3)`) appears in timeout messages.
     """
 
     def __init__(
@@ -678,78 +665,35 @@ class IdealHandle:
         self.ring = ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
-        self._basis: tuple[Polynomial, ...] | None = None
-        self._height = None
 
-    @_named
-    def groebner_basis(self) -> tuple[Polynomial, ...]:
-        if self._basis is None:
-            self._basis = buchberger(self.generators)
-        return self._basis
-
-    def is_unit(self) -> bool:
-        """Only the unit ideal has infinite (extended) height."""
-        return self.height() == math.inf
-
-    def is_zero(self) -> bool:
-        """The ring is a domain, so every nonzero element, and with it every
-        nonzero ideal, lies outside the zero prime: only 0 has height 0."""
-        return self.height() == 0
-
-    def quotient_dimension(self) -> int:
-        """dim of R/I; nvars for the zero ideal, -1 for the unit ideal.
-
-        R is a polynomial ring over a field, so dim R/P + ht P = nvars for
-        every prime P, and dim R/I, the largest dim R/P over the minimal
-        primes P of I, is nvars - ht I."""
-        h = self.height()
-        return -1 if h == math.inf else self.ring.nvars - h
-
-    @_named
     def height(self):
         """Extended height: +inf for the unit ideal, 0 for the zero ideal.
 
-        With homogeneous generators and no basis computed yet, Buchberger
-        stops once the leading terms reach the ceiling, and the height is
-        the ceiling; the module docstring has the proof."""
-        if self._height is None:
-            reached = False
+        One Buchberger run without inter-reduction.  With homogeneous
+        generators it stops once the leading terms reach the ceiling, and
+        the height is the ceiling; the module docstring has the proof.
+        Otherwise the height comes from the leading terms of the run."""
+        homogeneous = all(homogeneous_degree(g) is not None for g in self.generators)
+        reached = False
 
-            def at_ceiling(lms: list[Monomial]) -> bool:
-                nonlocal reached
-                reached = _reaches(lms, self.ceiling)
-                return reached
+        def at_ceiling(lms: list[Monomial]) -> bool:
+            nonlocal reached
+            reached = homogeneous and _reaches(lms, self.ceiling)
+            return reached
 
-            homogeneous = all(homogeneous_degree(g) is not None for g in self.generators)
-            if self._basis is None and homogeneous:
-                basis = buchberger(self.generators, stop=at_ceiling)
-            else:
-                basis = self.groebner_basis()
+        nvars = self.ring.nvars
+        with ideal_named(self.name):
+            basis = buchberger(self.generators, stop=at_ceiling)
             if not basis:
-                self._height = 0
-            elif basis[0].degree() == 0:
-                self._height = math.inf
-            elif reached:
-                self._height = self.ceiling
-            else:
-                lts = [g.leading_monomial() for g in basis]
-                self._height = self.ring.nvars - monomial_ideal_dimension(lts, self.ring.nvars)
-        return self._height
-
-    @_named
-    def reduce(self, p: Polynomial) -> Polynomial:
-        """The normal form of p by the reduced basis; p must lie in the
-        handle's ring."""
-        if p.ring != self.ring:
-            raise RingMismatchError("the polynomial lives in a different ring from the ideal")
-        return normal_form(p, self.groebner_basis())
+                return 0
+            if basis[0].degree() == 0:
+                return math.inf
+            if reached:
+                return self.ceiling
+            return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.generators)} generators over {self.ring})"
-
-
-def height(I: IdealHandle):
-    return I.height()
 
 
 # -- determinantal and Pfaffian ideals ---------------------------------------
@@ -843,8 +787,6 @@ class GenericHeightReport:
     ok: bool
     actual: object  # int or math.inf
     expected: int
-    kind: MatrixKind
-    t: int
 
 
 def is_generic_height(M: PolyMatrix, t: int) -> GenericHeightReport:
@@ -905,7 +847,7 @@ class LowerIdealCache:
         M = self.M
         expected = expected_generic_height(M.kind, M.m, M.n, size)
         actual = self._height(family, size)
-        return GenericHeightReport(actual == expected, actual, expected, M.kind, size)
+        return GenericHeightReport(actual == expected, actual, expected)
 
     def generic_report(self, t: int) -> GenericHeightReport:
         """Generic-height report of the level-t ideal."""

@@ -78,14 +78,16 @@ class ProblemInstance:
     def from_matrix(cls, M: PolyMatrix, t: int) -> "ProblemInstance":
         """Instance of a concrete matrix; t follows the module convention.
 
-        Requires a uniform homogeneous entry degree.
+        Requires a uniform homogeneous entry degree.  I_t(M) = I_t(M^T), so
+        a matrix with more rows than columns is read as its transpose.
         """
         if M.entry_degree is None:
             raise DomainError("matrix entries are not homogeneous of one common degree")
+        m, n = sorted((M.m, M.n))
         return cls(
             kind=M.kind,
-            m=M.m,
-            n=M.n,
+            m=m,
+            n=n,
             t=t,
             d=M.ring.nvars,
             delta=M.entry_degree,
@@ -170,7 +172,6 @@ class GsReport:
 
     per_j: tuple[GsRow, ...]
     max_s: object  # int or math.inf
-    requested_s: object
     satisfied: bool
 
 
@@ -211,7 +212,6 @@ def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> 
     return GsReport(
         per_j=tuple(rows),
         max_s=max_s,
-        requested_s=s,
         satisfied=all(r.satisfied for r in rows),
     )
 

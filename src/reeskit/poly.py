@@ -34,10 +34,15 @@ from operator import add
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
+from .deadline import check_deadline
 from .errors import DomainError, PolyParseError, RingMismatchError
 
 # An exponent tuple, one slot per ring variable.
 Monomial = tuple[int, ...]
+
+# A product reads the clock before its first term product and then once per
+# this many term products, at the start of a term of the left operand.
+_DEADLINE_EVERY_PRODUCTS = 4096
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -328,7 +333,12 @@ class Polynomial:
             return self.ring.zero()
         mod = self.ring.field.modulus
         out: dict[Monomial, object] = {}
+        width, due = len(other._terms), 0
         for ma, ca in self._terms.items():
+            if due <= 0:
+                check_deadline("polynomial arithmetic")
+                due = _DEADLINE_EVERY_PRODUCTS
+            due -= width
             for mb, cb in other._terms.items():
                 m = tuple(map(add, ma, mb))
                 s = (out.get(m, 0) + ca * cb) % mod

@@ -466,6 +466,44 @@ class TestRun:
             "during Pfaffian enumeration of pfaffians(4)\n"
         )
 
+    def test_timeout_bounds_building_the_matrix(self, tmp_path, capsys):
+        # A power in an entry is polynomial arithmetic, bounded like every later stage.
+        doc = dict(MINIMAL, variables=["x", "y"], matrix={"kind": "ordinary", "entries": [["(x + y)^2"]]})
+        code = run(["height", write_problem(tmp_path, doc), "--timeout", "0"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "precondition failure: Groebner computation exceeded the time limit during polynomial arithmetic\n"
+        )
+
+    def test_timeout_bounds_the_pfaffian(self, tmp_path, capsys):
+        entries = [["0", "a", "b", "c"], ["-a", "0", "d", "e"], ["-b", "-d", "0", "f"], ["-c", "-e", "-f", "0"]]
+        doc = dict(MINIMAL, variables=list("abcdef"), matrix={"kind": "alternating", "entries": entries})
+        code = run(["pfaffian", write_problem(tmp_path, doc), "--timeout", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.endswith("exceeded the time limit during polynomial arithmetic\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [["analyze"], ["gs"], ["classify"], ["bounds", "--k", "1..3"], ["height"]])
+    def test_a_tall_matrix_is_read_as_its_transpose(self, command, tmp_path, capsys):
+        # I_t(M) = I_t(M^T): only the banner's shape tells the two apart.
+        entries = [["a", "b"], ["c", "d"], ["e", "f"]]
+        tall = dict(MINIMAL, variables=list("abcdef"), matrix={"kind": "ordinary", "entries": entries}, t=2)
+        wide = dict(tall, matrix={"kind": "ordinary", "entries": [list(col) for col in zip(*entries)]})
+        assert run([command[0], write_problem(tmp_path, tall, "tall.json"), *command[1:]]) == 0
+        tall_out = capsys.readouterr().out
+        assert run([command[0], write_problem(tmp_path, wide, "wide.json"), *command[1:]]) == 0
+        wide_out = capsys.readouterr().out
+        assert "matrix ordinary 3x2, t = 2" in tall_out
+        assert tall_out == wide_out.replace("2x3", "3x2")
+
+    def test_a_tall_generic_matrix_is_read_as_its_transpose(self, capsys):
+        argv = ["generic", "--kind", "ordinary", "--t", "2", "--k", "1..3"]
+        assert run([*argv, "--m", "3", "--n", "2"]) == 0
+        tall_out = capsys.readouterr().out
+        assert run([*argv, "--m", "2", "--n", "3"]) == 0
+        assert tall_out == capsys.readouterr().out.replace("2x3", "3x2")
+
     def test_parser_is_built_once_and_reused(self, capsys):
         assert build_parser() is build_parser()
         assert run(["generic", "--kind", "bogus", "--n", "2", "--t", "1"]) == 1

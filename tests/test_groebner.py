@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import reeskit.groebner as groebner
+from reeskit.deadline import ideal_named
 from reeskit.errors import ComputationTimeout, DomainError, RingMismatchError
 from reeskit.groebner import (
     IdealHandle,
@@ -13,7 +14,6 @@ from reeskit.groebner import (
     MonomialPacking,
     buchberger,
     expected_generic_height,
-    height,
     ideal_of_minors,
     ideal_of_pfaffians,
     is_generic_height,
@@ -137,8 +137,7 @@ class TestBuchberger:
         lex_basis = buchberger([x * x - y, x * y - 1])
         strings = {str(g) for g in lex_basis}
         assert strings == {"x - y^2", "y^3 - 1"}
-        handle = IdealHandle([x * x - y, x * y - 1])
-        assert handle.reduce(x - y * y).is_zero
+        assert normal_form(x - y * y, lex_basis).is_zero
 
 
 class TestNormalForm:
@@ -166,6 +165,14 @@ class TestNormalForm:
                 for g in basis:
                     lm = g.leading_monomial()
                     assert any(a < b for a, b in zip(mono, lm)) or all(b == 0 for b in lm)
+
+    def test_basis_must_share_the_polynomials_ring(self, fp_xyz):
+        x, y, z = fp_xyz.gens()
+        lex = PolyRing(fp_xyz.variables, field=fp_xyz.field, order=MonomialOrder.LEX)
+        with pytest.raises(RingMismatchError):
+            normal_form(lex.gens()[0], [x * y - z])
+        with pytest.raises(RingMismatchError):
+            normal_form(x, [lex.gens()[0]])
 
     def test_difference_lies_in_ideal(self, fp_xyz, rng):
         gens = [parse_poly("x*y - z^2", fp_xyz), parse_poly("x^2 - y*z", fp_xyz)]
@@ -336,7 +343,7 @@ PINNED_BASES = [
 def test_pinned_reduced_basis_of_a_linear_ideal(field, order, expected):
     ring = PolyRing(("x", "y", "z"), field=field, order=order)
     M = PolyMatrix("ordinary", [[parse_poly(e, ring) for e in row] for row in PINNED_ENTRIES])
-    assert [str(g) for g in ideal_of_minors(M, 2).groebner_basis()] == expected
+    assert [str(g) for g in buchberger(ideal_of_minors(M, 2).generators)] == expected
 
 
 class TestMonomialDimension:
@@ -445,14 +452,6 @@ class TestHeight:
             IdealHandle([x], ring=lex)
         assert IdealHandle([x], ring=fp_xyz).ring == fp_xyz
 
-    def test_reduce_takes_only_the_handles_ring(self, fp_xyz):
-        x, y, z = fp_xyz.gens()
-        lex = PolyRing(fp_xyz.variables, field=fp_xyz.field, order=MonomialOrder.LEX)
-        with pytest.raises(RingMismatchError):
-            IdealHandle([x * y - z]).reduce(lex.gens()[0])
-        with pytest.raises(RingMismatchError):
-            IdealHandle([], ring=fp_xyz).reduce(lex.gens()[0])
-
     def test_invariance_under_permutation_and_scaling(self, fp_xyz):
         gens = [parse_poly("x*y - z^2", fp_xyz), parse_poly("x^2 - y*z", fp_xyz), parse_poly("y^2 - x*z", fp_xyz)]
         h = IdealHandle(gens).height()
@@ -461,11 +460,11 @@ class TestHeight:
 
     def test_minors_2x3(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
-        assert height(ideal_of_minors(M, 2)) == 2
+        assert ideal_of_minors(M, 2).height() == 2
 
     def test_symmetric_3x3(self):
         M = generic_matrix(3, 3, "symmetric", field=F32003)
-        assert height(ideal_of_minors(M, 2)) == 3
+        assert ideal_of_minors(M, 2).height() == 3
 
     def test_generic_5x6_minors_and_9x9_pfaffians(self):
         # The dimension search's largest cases in the benchmark: 30 and 36
@@ -606,24 +605,15 @@ class TestHeightCeiling:
         # I_2 is the square of the maximal ideal (a, b, c).  The leading
         # terms of its six minors have height 2, so the run goes on and
         # stops at a later sugar boundary with nine elements, not
-        # inter-reduced.
+        # inter-reduced.  A basis asked for afterwards is the reduced one.
         ring = PolyRing(("a", "b", "c"), field=F32003)
         a, b, c = ring.gens()
         I = ideal_of_minors(PolyMatrix("ordinary", [[a, b, c, a + b], [b, c, a + c, a]]), 2)
         assert I.height() == I.ceiling == 3
-        basis = I.groebner_basis()
+        basis = buchberger(I.generators)
         assert set(basis) == {a * a, a * b, b * b, a * c, b * c, c * c}
-        assert basis == buchberger(I.generators)
         assert_is_reduced_groebner_basis(basis, I.generators)
         assert I.height() == 3
-
-    def test_height_reuses_a_computed_basis(self, monkeypatch):
-        import reeskit.groebner as groebner
-
-        I = ideal_of_minors(generic_matrix(2, 3, "ordinary", field=F32003), 2)
-        I.groebner_basis()
-        monkeypatch.setattr(groebner, "buchberger", None)
-        assert I.height() == 2
 
     def test_stop_is_called_on_the_generators_and_at_sugar_boundaries(self, fp_xyz):
         x, y, z = fp_xyz.gens()
@@ -670,8 +660,10 @@ def random_generators(rng: random.Random, ring: PolyRing) -> list:
 
 
 class TestQueriesFromTheHeight:
-    """`quotient_dimension`, `is_unit` and `is_zero` read the height, which
-    may stop at the ceiling; the reference is the complete reduced basis."""
+    """The height, which may stop at the ceiling or, for inhomogeneous
+    generators, complete without inter-reduction, against the complete
+    reduced basis: nvars - dim R/in(I), inf for the unit ideal and 0 for the
+    zero ideal."""
 
     def test_queries_agree_with_the_full_run(self, any_field):
         rng = random.Random(f"queries:{any_field}")
@@ -685,18 +677,9 @@ class TestQueriesFromTheHeight:
             else:
                 gens, ceiling = random_generators(rng, ring), None
             basis = buchberger(gens)
-            nvars = ring.nvars
-            dim = monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
-            unit, zero = basis == (ring.one(),), basis == ()
-            shapes.add((unit, zero))
-
-            def handle():
-                return IdealHandle(gens, ring=ring, ceiling=ceiling)
-
-            assert handle().height() == full_run_height(handle()), gens
-            assert handle().quotient_dimension() == dim, gens
-            assert handle().is_unit() == unit, gens
-            assert handle().is_zero() == zero, gens
+            shapes.add((basis == (ring.one(),), basis == ()))
+            I = IdealHandle(gens, ring=ring, ceiling=ceiling)
+            assert I.height() == full_run_height(I), gens
         # Proper nonzero ideals, unit ideals and zero ideals all occurred.
         assert shapes == {(False, False), (True, False), (False, True)}
 
@@ -705,13 +688,13 @@ class TestIdealConventions:
     def test_minors_t_nonpositive_is_unit(self):
         M = generic_matrix(2, 3, "ordinary")
         I = ideal_of_minors(M, 0)
-        assert I.is_unit() and I.height() == math.inf
-        assert ideal_of_minors(M, -4).is_unit()
+        assert I.height() == math.inf
+        assert ideal_of_minors(M, -4).height() == math.inf
 
     def test_minors_t_too_large_is_zero(self):
         M = generic_matrix(2, 3, "ordinary")
         I = ideal_of_minors(M, 3)
-        assert I.is_zero() and I.height() == 0
+        assert I.height() == 0
 
     def test_minor_generator_count(self):
         M = generic_matrix(2, 3, "ordinary")
@@ -719,8 +702,8 @@ class TestIdealConventions:
 
     def test_pfaffian_conventions(self):
         M = generic_matrix(6, 6, "alternating")
-        assert ideal_of_pfaffians(M, 0).is_unit()
-        assert ideal_of_pfaffians(M, 8).is_zero()
+        assert ideal_of_pfaffians(M, 0).height() == math.inf
+        assert ideal_of_pfaffians(M, 8).height() == 0
         with pytest.raises(DomainError):
             ideal_of_pfaffians(M, 3)
 
@@ -822,10 +805,15 @@ class TestTimeout:
                 monomial_ideal_dimension(edges, n)
 
     def test_timeout_names_its_stage(self, fp_xyz):
+        # Products read the clock too, so every polynomial is built before the limit.
         x, y, z = fp_xyz.gens()
+        gens = [x * y - z * z, x * x - y * z]
+        with pytest.raises(ComputationTimeout, match="during polynomial arithmetic$"):
+            with time_limit(0.0):
+                x * y
         with pytest.raises(ComputationTimeout, match="during Buchberger reduction"):
             with time_limit(0.0):
-                buchberger([x * y - z * z, x * x - y * z])
+                buchberger(gens)
         # One generator forms no pair, so only inter-reduction takes steps.
         many = sum((fp_xyz.term(1, (i, j, 0)) for i in range(23) for j in range(23 - i)), fp_xyz.zero())
         with pytest.raises(ComputationTimeout, match="during basis inter-reduction"):
@@ -872,20 +860,43 @@ class TestTimeout:
             with time_limit(0.0):
                 ideal_of_pfaffians(A, 4)
         pfaffians = ideal_of_pfaffians(A, 4)
-        with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction of pfaffians\(4\)$"):
+        with pytest.raises(ComputationTimeout, match=r"during height ceiling check of pfaffians\(4\)$"):
             with time_limit(0.0):
-                pfaffians.groebner_basis()
-        I = ideal_of_minors(M, 2)
-        I.groebner_basis()
+                pfaffians.height()
+        # Inhomogeneous generators take no ceiling check, so their run first
+        # reads the clock in its main loop.
+        x, y, z = generic_matrix(1, 3, "ordinary", field=F32003).ring.gens()
+        inhomogeneous = ideal_of_minors(PolyMatrix("ordinary", [[x + 1, y, z], [y, z, x]]), 2)
+        with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction of minors\(2\)$"):
+            with time_limit(0.0):
+                inhomogeneous.height()
+        leading = [g.leading_monomial() for g in buchberger(ideal_of_minors(M, 2).generators)]
         with pytest.raises(ComputationTimeout, match=r"during dimension search of minors\(2\)$"):
             with time_limit(0.0):
                 time.sleep(0.001)
-                I.quotient_dimension()
+                with ideal_named("minors(2)"):
+                    monomial_ideal_dimension(leading, M.ring.nvars)
         # The name is dropped again when the handle's work ends.
-        x, y, z = generic_matrix(1, 3, "ordinary", field=F32003).ring.gens()
+        gens = [x * y - z * z, x * x - y * z]
         with pytest.raises(ComputationTimeout, match=r"during Buchberger reduction$"):
             with time_limit(0.0):
-                buchberger([x * y - z * z, x * x - y * z])
+                buchberger(gens)
+
+    def test_products_read_the_clock_every_4096_term_products(self, fp_xyz, monkeypatch):
+        import reeskit.poly as poly
+
+        z = fp_xyz.gens()[2]
+        many = sum((fp_xyz.term(1, (i, j, 0)) for i in range(23) for j in range(23 - i)), fp_xyz.zero())
+        assert len(many.terms) == 276
+        reads = []
+        monkeypatch.setattr(poly, "check_deadline", reads.append)
+        many * z
+        assert reads == ["polynomial arithmetic"]
+        reads.clear()
+        # 15 terms of the left operand make 4140 >= 4096 products: a read
+        # before terms 0, 15, ..., 270.
+        many * many
+        assert reads == ["polynomial arithmetic"] * len(range(0, 276, 15))
 
 
 class TestLowerIdealCache:
@@ -918,7 +929,7 @@ class TestLowerIdealCache:
         M = generic_matrix(6, 6, "alternating", field=F32003)
         cache = LowerIdealCache(M)
         report = cache.generic_report(2)
-        assert (report.ok, report.actual, report.expected, report.t) == (True, 6, 6, 4)
+        assert (report.ok, report.actual, report.expected) == (True, 6, 6)
         assert cache.generator_counts == {("pfaffians", 4): 15}
         # The main ideal's height is shared with the lower-height lookups.
         assert cache.pfaffian_height(4) == 6

@@ -34,6 +34,11 @@ class TestProblemInstance:
         i = ProblemInstance.from_matrix(M, 2)
         assert (i.kind.value, i.m, i.n, i.t, i.d, i.delta, i.char) == ("ordinary", 2, 3, 2, 6, 1, 32003)
 
+    def test_from_a_tall_matrix_reads_its_transpose(self):
+        M = generic_matrix(3, 2, "ordinary", field=F32003)
+        i = ProblemInstance.from_matrix(M, 2)
+        assert (i.m, i.n, i.t) == (2, 3, 2)
+
 
 class TestThresholds:
     def test_ordinary_example(self):

@@ -1,6 +1,7 @@
 """Smoke tests of tools/report_diff.py, which compares the reports of two
 source trees run by run."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,27 @@ def test_a_calls_file_runs_alone(tmp_path):
     done = run_tool(ROOT, ROOT, "--only", "--calls", calls)
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout == "1 runs, 0 differ\n"
+
+
+def test_a_calls_line_can_name_a_file_in_the_problems_directory(tmp_path):
+    # The old tree is the real CLI; the new one only says it ran.
+    fake = tmp_path / "fake" / "src" / "reeskit"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("print('ran')\n")
+    problems = tmp_path / "calls" / "problems"
+    problems.mkdir(parents=True)
+    doc = {"format": 1, "variables": ["x"], "matrix": {"kind": "ordinary", "entries": [["x"]]}, "t": 1}
+    (problems / "own.json").write_text(json.dumps(doc))
+    calls = tmp_path / "calls" / "calls.txt"
+    calls.write_text("height own.json\n")
+    done = run_tool(ROOT, tmp_path / "fake", "--only", "--calls", calls)
+    assert done.returncode == 1
+    assert done.stdout.startswith("DIFF calls.txt:1: height own.json\n")
+    assert "exit code" not in done.stdout
+    assert "\n  -  height = 1\n" in done.stdout
+    assert "\n  +ran\n" in done.stdout
+    assert done.stdout.endswith("1 runs, 1 differ\n")
 
 
 def test_unknown_problem_is_an_error():

@@ -11,8 +11,9 @@ named base problems and drops the rest; with no ID it drops them all, so
 `python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a time,
 first on OLD_TREE and then on NEW_TREE, in the same working directory and
 with the same problem file.  The problem file of every base problem is
-written there as ID.json, whether it runs or not, so a calls line can
-name one.
+written there as ID.json, whether it runs or not, and the `*.json` files
+of a `problems` directory beside FILE are copied there, so a calls line
+can name either.
 
 It prints each run whose exit code, stdout or stderr differs, with a
 unified diff of the streams that differ, and exits 1 if any run differs,
@@ -27,6 +28,7 @@ import difflib
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -58,7 +60,11 @@ def base_runs(only: set[str] | None, workdir: Path) -> list[tuple[str, list[str]
     return runs
 
 
-def call_runs(path: Path) -> list[tuple[str, list[str]]]:
+def call_runs(path: Path, workdir: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of each command line in the calls file; the problem
+    files in the `problems` directory beside it go in workdir."""
+    for problem in sorted((path.parent / "problems").glob("*.json")):
+        shutil.copy(problem, workdir)
     runs = []
     for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if line.strip() and not line.lstrip().startswith("#"):
@@ -115,7 +121,7 @@ def main(argv=None) -> int:
         workdir = Path(tmp)
         runs = base_runs(None if args.only is None else set(args.only), workdir)
         if args.calls is not None:
-            runs += call_runs(args.calls)
+            runs += call_runs(args.calls, workdir)
         differing = 0
         for name, run_argv in runs:
             old = run_once(args.old, run_argv, workdir)
