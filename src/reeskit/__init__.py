@@ -50,7 +50,6 @@ from .matrixalg import (
     MatrixKind,
     PolyMatrix,
     classical_adjoint,
-    det_bareiss,
     det_cofactor,
     determinant,
     enumerate_minors,

@@ -158,9 +158,9 @@ def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | 
     """
     if mode not in ("specialization", "bounds"):
         raise DomainError(f"mode must be 'specialization' or 'bounds', got {mode!r}")
-    inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
     cache.require_generic(t)
+    inst = ProblemInstance.from_matrix(M, t)
     case = specialization_case(inst)
     capped = mode == "bounds"
     rows = []
@@ -178,8 +178,8 @@ def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | 
 def specialization_check(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> SpecializationResult:
     """Does the Rees algebra of I_t(M) / Pf_{2t}(M) arise by specializing
     the generic one, and is it Cohen-Macaulay where the catalog says so."""
-    inst = ProblemInstance.from_matrix(M, t)
     report = hypothesis_check(M, t, "specialization", cache=cache)
+    inst = ProblemInstance.from_matrix(M, t)
     cm = report.all_satisfied and specialization_case(inst).cohen_macaulay(inst)
     return SpecializationResult(
         specializes=report.all_satisfied,
@@ -520,10 +520,10 @@ def classify(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> Cla
     Each schedule (uncapped, capped) is checked at most once, lazily, and
     stops at its first failing level.
     """
-    inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
     if not cache.generic_report(t).ok:
         return ClassificationReport(())
+    inst = ProblemInstance.from_matrix(M, t)
     holds: dict[bool, bool] = {}
     conclusions = []
     for rule in matching(CONCLUSION_RULES, inst):

@@ -67,7 +67,3 @@ class NotAttestedError(PreconditionError):
 
 class ComputationTimeout(PreconditionError):
     """A Groebner computation exceeded the configured deadline."""
-
-
-class ExactDivisionError(ToolkitError):
-    """Internal: a division expected to be exact left a remainder."""

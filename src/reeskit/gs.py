@@ -198,9 +198,9 @@ def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> 
     """
     if s != math.inf and (not isinstance(s, int) or s < 1):
         raise DomainError(f"s must be a positive integer or +inf, got {s!r}")
-    inst = ProblemInstance.from_matrix(M, t)
     cache = cache if cache is not None else LowerIdealCache(M)
     cache.require_generic(t)
+    inst = ProblemInstance.from_matrix(M, t)
     rows = []
     for j in range(1, inst.t):
         theta = gs_threshold(inst, j)

@@ -4,12 +4,12 @@ A PolyMatrix carries one of three kinds.  Symmetric and alternating matrices
 are validated entrywise at construction; the common homogeneous entry degree
 (when it exists) is computed once and cached.
 
-Determinants, adjoints and enumerations of minors expand along the first
-row, with a memo over (rows, cols) pairs shared by the whole computation:
-on polynomial entries that is far cheaper than Bareiss's exact divisions.
-Only a scalar matrix above 4x4 takes fraction-free (Bareiss) elimination.
-Plain cofactor expansion and Bareiss both stay public so they can serve as
-each other's oracle.  Pfaffians use the first-row Laplace expansion with a
+Determinants, adjoints and enumerations of minors all take one route: the
+expansion along the first row, with a memo over (rows, cols) pairs shared by
+the whole computation.  An n x n determinant costs about n*2^(n-1) entry
+products that way, whatever the entries.  The plain, unmemoized cofactor
+expansion `det_cofactor` stays public as the independent reference the
+tests compare against.  Pfaffians use the first-row Laplace expansion with a
 shared memo over index subsets, and the Pfaffian adjoint is the alternating
 matrix whose (i, j) entry, i < j, is (-1)^(i+j) times the Pfaffian of the
 matrix with rows and columns i, j deleted; it satisfies
@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .deadline import check_deadline
-from .errors import DomainError, ExactDivisionError, KindShapeError
+from .errors import DomainError, KindShapeError
 from .poly import (
     ALL_DEGREES,
     FieldSpec,
@@ -31,7 +31,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     homogeneous_degree,
-    mon_div,
 )
 
 
@@ -54,8 +53,8 @@ class PolyMatrix:
     """Rectangular matrix of polynomials with a declared kind.
 
     Immutable.  `entry_degree` is the common homogeneous degree of the
-    entries when one exists (zero entries are compatible with any degree),
-    otherwise None.
+    nonzero entries when they have one (zero entries are compatible with
+    any degree), otherwise None; it is None for the zero matrix.
     """
 
     __slots__ = ("kind", "ring", "_rows", "m", "n", "entry_degree")
@@ -213,94 +212,20 @@ def _det_cofactor_grid(grid: list[list[Polynomial]], ring: PolyRing) -> Polynomi
     return total
 
 
-def exact_quotient(num: Polynomial, den: Polynomial) -> Polynomial:
-    """num / den when the division is exact; raises otherwise."""
-    if den.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if num.is_zero:
-        return num.ring.zero()
-    ring = num.ring
-    dm, dc = den.leading_term()
-    inv, mod = ring.field.inverse(dc), ring.field.modulus
-    den_terms = den.terms
-    work = dict(num.terms)
-    q: dict = {}
-    mkey = ring.mkey
-    while work:
-        wm = max(work, key=mkey)
-        qm = mon_div(wm, dm)
-        if qm is None:
-            raise ExactDivisionError("division is not exact")
-        qc = work[wm] * inv % mod
-        q[qm] = qc
-        for m, c in den_terms.items():
-            mm = tuple(a + b for a, b in zip(qm, m))
-            s = (work.get(mm, 0) - qc * c) % mod
-            if s == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
-    return Polynomial(ring, q, _clean=True)
-
-
-def _det_bareiss_grid(grid: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
-    n = len(grid)
-    if n == 0:
-        return ring.one()
-    mat = [row[:] for row in grid]
-    sign = 1
-    prev = ring.one()
-    for k in range(n - 1):
-        pivot_row = k
-        while pivot_row < n and mat[pivot_row][k].is_zero:
-            pivot_row += 1
-        if pivot_row == n:
-            return ring.zero()
-        if pivot_row != k:
-            mat[k], mat[pivot_row] = mat[pivot_row], mat[k]
-            sign = -sign
-        pivot = mat[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = pivot * mat[i][j] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_quotient(num, prev)
-            mat[i][k] = ring.zero()
-        prev = pivot
-    result = mat[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
 def det_cofactor(M: PolyMatrix) -> Polynomial:
     if M.m != M.n:
         raise KindShapeError(f"determinant needs a square matrix, got {M.m}x{M.n}")
     return _det_cofactor_grid(M.grid(), M.ring)
 
 
-def det_bareiss(M: PolyMatrix) -> Polynomial:
-    if M.m != M.n:
-        raise KindShapeError(f"determinant needs a square matrix, got {M.m}x{M.n}")
-    return _det_bareiss_grid(M.grid(), M.ring)
-
-
-def _by_expansion(M: PolyMatrix, size: int) -> bool:
-    """Should size x size determinants of M expand along the first row
-    (`_minor`) rather than eliminate (Bareiss)?  Yes up to 4x4, and for
-    any size once an entry is a non-constant polynomial: there Bareiss's
-    exact divisions cost far more than the memoized expansion."""
-    return size <= 4 or any(e.degree() for row in M.rows for e in row)
-
-
 def determinant(M: PolyMatrix) -> Polynomial:
-    """Exact determinant: Bareiss elimination for a scalar matrix above
-    4x4, the memoized first-row expansion otherwise."""
+    """Exact determinant by the memoized first-row expansion."""
     if M.m != M.n:
         raise KindShapeError(f"determinant needs a square matrix, got {M.m}x{M.n}")
     if M.n == 0:
         return M.ring.one()
-    if _by_expansion(M, M.n):
-        full = tuple(range(M.n))
-        return _minor(M, full, full, {})
-    return _det_bareiss_grid(M.grid(), M.ring)
+    full = tuple(range(M.n))
+    return _minor(M, full, full, {})
 
 
 def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
@@ -313,18 +238,13 @@ def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(MatrixKind.ORDINARY, (), ring=ring)
     if n == 1:
         return PolyMatrix(MatrixKind.ORDINARY, [[ring.one()]], ring=ring)
-    expand = _by_expansion(M, n - 1)
     memo: dict = {}
-    grid = M.grid()
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             # adj entry (i, j) is the (j, i) cofactor.
-            if expand:
-                rows = tuple(r for r in range(n) if r != j)
-                cof = _minor(M, rows, tuple(c for c in range(n) if c != i), memo)
-            else:
-                cof = _det_bareiss_grid([row[:i] + row[i + 1 :] for r, row in enumerate(grid) if r != j], ring)
+            rows = tuple(r for r in range(n) if r != j)
+            cof = _minor(M, rows, tuple(c for c in range(n) if c != i), memo)
             out[i][j] = -cof if (i + j) % 2 else cof
     return PolyMatrix(MatrixKind.ORDINARY, out, ring=ring)
 

@@ -418,10 +418,6 @@ def homogeneous_degree(p: Polynomial):
 # -- printing ------------------------------------------------------------
 
 
-def _format_coeff(c) -> str:
-    return str(c)
-
-
 def _format_monomial(m: Monomial, variables: tuple[str, ...]) -> str:
     parts = []
     for name, e in zip(variables, m):
@@ -443,11 +439,11 @@ def format_poly(p: Polynomial) -> str:
         mag = -c if negative else c
         mono = _format_monomial(m, p.ring.variables)
         if not mono:
-            body = _format_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_format_coeff(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

@@ -480,8 +480,11 @@ class TestClassify:
         x = helper.entry(0, 0)
         y = helper.entry(0, 1)
         M = PolyMatrix("ordinary", [[x, y * y], [y, x]])
+        # I_2 = (x^2 - y^3) has the generic height 1, so the entry degrees
+        # are read; I_1 = (x, y) does not, and nothing is concluded first.
         with pytest.raises(DomainError):
-            classify(M, 1)
+            classify(M, 2)
+        assert classify(M, 1).conclusions == ()
 
     def test_capped_hypotheses_can_hold_where_uncapped_fail(self):
         # Entries span only two variables: height of I_1 is 2, below the

@@ -497,6 +497,24 @@ class TestRun:
         assert "matrix ordinary 3x2, t = 2" in tall_out
         assert tall_out == wide_out.replace("2x3", "3x2")
 
+    @pytest.mark.parametrize("command", [["analyze"], ["gs"], ["bounds", "--k", "1"], ["classify"], ["height"]])
+    def test_the_zero_matrix_fails_the_generic_height_precondition(self, command, tmp_path, capsys):
+        # Its entry degree is unknown, but what rules the catalog out is that
+        # I_2 has height 0 where the generic height is 2.
+        zero = dict(MINIMAL, variables=list("xyz"), matrix={"kind": "ordinary", "entries": [["0"] * 3] * 2}, t=2)
+        code = run([command[0], write_problem(tmp_path, zero), *command[1:]])
+        captured = capsys.readouterr()
+        if command[0] == "classify":
+            assert code == 0
+            assert captured.out.endswith("classify\n  no conclusion applies\n")
+        elif command[0] == "height":
+            assert code == 0
+            assert "entry degree none" in captured.out
+            assert "  height = 0\n  expected generic height = 2 [Notation 2.1a]\n" in captured.out
+        else:
+            assert code == 2
+            assert captured.err == "precondition failure: the ideal is not of generic height: height 0, expected 2\n"
+
     def test_a_tall_generic_matrix_is_read_as_its_transpose(self, capsys):
         argv = ["generic", "--kind", "ordinary", "--t", "2", "--k", "1..3"]
         assert run([*argv, "--m", "3", "--n", "2"]) == 0

@@ -9,7 +9,6 @@ from reeskit.matrixalg import (
     MatrixKind,
     PolyMatrix,
     classical_adjoint,
-    det_bareiss,
     det_cofactor,
     determinant,
     enumerate_minors,
@@ -29,7 +28,7 @@ F32003 = FieldSpec.prime(32003)
 def scalar_matrix(rng, ring, n, kind=MatrixKind.ORDINARY):
     p = ring.field.p
     def coeff():
-        return ring.constant(rng.randint(0, p - 1))
+        return ring.constant(rng.randint(0, p - 1) if p else rng.randint(-99, 99))
     if kind is MatrixKind.ORDINARY:
         return PolyMatrix(kind, [[coeff() for _ in range(n)] for _ in range(n)], ring=ring)
     rows = [[ring.zero()] * n for _ in range(n)]
@@ -145,15 +144,16 @@ class TestDeterminant:
         M = PolyMatrix("ordinary", (), ring=qq_xy)
         assert determinant(M) == qq_xy.one()
 
-    def test_dual_algorithm_oracle_random_5x5(self, scalar_ring):
+    def test_scalar_5x5_to_7x7_match_cofactor_expansion(self, any_field):
+        ring = PolyRing((), field=any_field)
         rng = random.Random(99)
-        for _ in range(25):
-            M = scalar_matrix(rng, scalar_ring, 5)
-            assert det_bareiss(M) == det_cofactor(M)
+        for n in (5, 5, 5, 5, 6, 6, 7):
+            M = scalar_matrix(rng, ring, n)
+            assert determinant(M) == det_cofactor(M)
 
     def test_dual_algorithm_on_symbolic_3x3(self):
         M = generic_matrix(3, 3, "ordinary")
-        assert det_bareiss(M) == det_cofactor(M)
+        assert determinant(M) == det_cofactor(M)
 
     def test_transpose_invariance(self, scalar_ring):
         rng = random.Random(7)
@@ -170,14 +170,12 @@ class TestDeterminant:
             assert determinant(PolyMatrix("ordinary", grid, ring=scalar_ring)).is_zero
 
     def test_polynomial_entries_match_cofactor_expansion(self, any_field):
-        # Above 4x4, a matrix with a non-constant entry takes the memoized
-        # first-row expansion instead of Bareiss.
         M = generic_matrix(5, 5, "symmetric", field=any_field)
         assert determinant(M) == det_cofactor(M)
         rng = random.Random(4242)
         ring = PolyRing(("x", "y"), field=any_field)
         for n in (5, 5, 6):
-            # Mostly constants, so that one non-constant entry decides.
+            # Mostly constants, with some non-constant entry.
             grid = [
                 [random_poly(rng, ring, max_terms=2, max_exp=int(rng.random() < 0.3)) for _ in range(n)]
                 for _ in range(n)
@@ -186,12 +184,14 @@ class TestDeterminant:
             M = PolyMatrix("ordinary", grid)
             assert determinant(M) == det_cofactor(M)
 
-    def test_bareiss_needs_pivot_search(self, qq_xy):
-        # leading zero pivot forces a row swap
+    def test_zero_leading_entry(self, qq_xy):
         x, y = qq_xy.gens()
         zero = qq_xy.zero()
         M = PolyMatrix("ordinary", [[zero, x], [y, zero]])
-        assert det_bareiss(M) == -(x * y)
+        assert determinant(M) == -(x * y)
+        one = qq_xy.one()
+        M = PolyMatrix("ordinary", [[zero, x, one], [y, zero, x], [one, y, zero]])
+        assert determinant(M) == det_cofactor(M)
 
 
 class TestClassicalAdjoint:
@@ -239,6 +239,15 @@ class TestClassicalAdjoint:
         prod = matmul(adj, M)
         for i in range(5):
             for j in range(5):
+                assert prod[i][j] == (det if i == j else scalar_ring.zero())
+
+    def test_defining_identity_random_6x6(self, scalar_ring):
+        rng = random.Random(18)
+        M = scalar_matrix(rng, scalar_ring, 6)
+        det = det_cofactor(M)
+        prod = matmul(classical_adjoint(M), M)
+        for i in range(6):
+            for j in range(6):
                 assert prod[i][j] == (det if i == j else scalar_ring.zero())
 
 
@@ -349,10 +358,10 @@ class TestEnumeration:
         assert skipped == set(minors)
 
     @pytest.mark.parametrize("kind", ["generic symmetric", "dense linear"])
-    def test_5x5_and_6x6_minors_match_bareiss(self, kind):
-        # Memoized Laplace expansion against fraction-free elimination: a
-        # generic symmetric 6x6 matrix over GF(32003), and a 6x6 matrix of
-        # dense linear forms in three variables over QQ.
+    def test_5x5_and_6x6_minors_match_cofactor_expansion(self, kind):
+        # Memoized Laplace expansion against the plain one: a generic
+        # symmetric 6x6 matrix over GF(32003), and a 6x6 matrix of dense
+        # linear forms in three variables over QQ.
         if kind == "generic symmetric":
             M = generic_matrix(6, 6, "symmetric", field=F32003)
         else:
@@ -364,10 +373,9 @@ class TestEnumeration:
         selectors = [(r, c) for r, c in minor_selectors(6, 6, 5) if r <= c or not symmetric]
         minors = enumerate_minors(M, 5)
         assert len(minors) == len(selectors)
-        # Every third 5x5 minor keeps the cost of Bareiss down.
-        for (rows, cols), minor in list(zip(selectors, minors))[::3]:
-            assert minor == det_bareiss(M.submatrix(rows, cols))
-        assert enumerate_minors(M, 6) == [det_bareiss(M)]
+        for (rows, cols), minor in zip(selectors, minors):
+            assert minor == det_cofactor(M.submatrix(rows, cols))
+        assert enumerate_minors(M, 6) == [det_cofactor(M)]
 
     def test_pfaffian_counts(self):
         assert len(enumerate_pfaffians(generic_matrix(6, 6, "alternating"), 4)) == comb(6, 4)
