@@ -6,9 +6,10 @@ parameter tuple, and verifies the height hypotheses of each criterion with
 real Groebner computations on the matrix at hand.  Three kinds of output:
 
 * hypothesis_check / specialization_check decide whether the Rees algebra
-  of the ideal is the specialization of the generic one (uncapped
-  thresholds) or satisfies the weaker capped thresholds the degree bounds
-  need, and report Cohen-Macaulayness where the catalog settles it.
+  of the ideal is the specialization of the generic one (capped=False,
+  Prop 4.7) or satisfies the hypotheses capped at d that the degree bounds
+  need (capped=True, Cor 5.1.4), and report Cohen-Macaulayness where the
+  catalog settles it.
 * degree_bounds evaluates the generation/concentration degree bounds for
   the k-th piece of the defining ideal, returning extended values: -inf
   (the piece vanishes), finite ints, +inf (no finite bound exists), or
@@ -20,7 +21,7 @@ real Groebner computations on the matrix at hand.  Three kinds of output:
 
 CONCLUSION_RULES, STATUS_RULES and BOUND_RULES are ordered catalog tables.
 Each conclusion checks the gs.SPECIALIZATION_CASES schedule of its instance,
-uncapped or capped at d.
+uncapped or capped at d, through the same gs.height_rows.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .deadline import check_deadline
 from .errors import CharacteristicError, DomainError, NotApplicableError, NotAttestedError
 from .groebner import LowerIdealCache
-from .gs import ProblemInstance, matching, specialization_case
+from .gs import HeightRow, ProblemInstance, height_rows, matching, specialization_case
 from .matrixalg import MatrixKind, PolyMatrix
 from .resolutions import n_constants
 
@@ -86,26 +88,17 @@ class BoundValue:
 
 
 @dataclass(frozen=True)
-class HypothesisRow:
-    j: int
-    required: int
-    actual: object  # int or math.inf
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
-    case: str  # i..v
-    source: str
-    per_j: tuple[HypothesisRow, ...]
+    source: str  # names the case: "Prop 4.7i".."Prop 4.7v" or "Cor 5.1.4i".."Cor 5.1.4v"
+    per_j: tuple[HeightRow, ...]
     all_satisfied: bool
 
 
 @dataclass(frozen=True)
 class SpecializationResult:
-    specializes: bool
+    """The Rees algebra specializes exactly when report.all_satisfied."""
+
     cohen_macaulay: str  # "yes" or "unknown"
-    source: str
     report: HypothesisReport
 
 
@@ -149,44 +142,29 @@ class GenericStatus:
         return tuple(dict.fromkeys(self.flag_sources.values()))
 
 
-def hypothesis_check(M: PolyMatrix, t: int, mode: str, cache: LowerIdealCache | None = None) -> HypothesisReport:
-    """Verify the height hypotheses of the specialization (uncapped) or
-    degree-bound (capped by d) criteria on a concrete matrix.
+def hypothesis_check(M: PolyMatrix, t: int, *, capped: bool, cache: LowerIdealCache | None = None) -> HypothesisReport:
+    """Verify the height hypotheses of the specialization criteria
+    (capped=False, Prop 4.7) or of the degree bounds (capped=True, each
+    requirement capped at d, Cor 5.1.4) on a concrete matrix.
 
     For alternating matrices t is half the Pfaffian size.  The main ideal
     must be of generic height.
     """
-    if mode not in ("specialization", "bounds"):
-        raise DomainError(f"mode must be 'specialization' or 'bounds', got {mode!r}")
     cache = cache if cache is not None else LowerIdealCache(M)
     cache.require_generic(t)
     inst = ProblemInstance.from_matrix(M, t)
     case = specialization_case(inst)
-    capped = mode == "bounds"
-    rows = []
-    for j, required in case.schedule(inst, capped):
-        actual = cache.lower_height(j)
-        rows.append(HypothesisRow(j=j, required=required, actual=actual, satisfied=actual >= required))
-    return HypothesisReport(
-        case=case.tag,
-        source=case.source(capped),
-        per_j=tuple(rows),
-        all_satisfied=all(r.satisfied for r in rows),
-    )
+    rows = tuple(height_rows(cache, case.schedule(inst, capped)))
+    return HypothesisReport(source=case.source(capped), per_j=rows, all_satisfied=all(r.satisfied for r in rows))
 
 
 def specialization_check(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> SpecializationResult:
     """Does the Rees algebra of I_t(M) / Pf_{2t}(M) arise by specializing
     the generic one, and is it Cohen-Macaulay where the catalog says so."""
-    report = hypothesis_check(M, t, "specialization", cache=cache)
+    report = hypothesis_check(M, t, capped=False, cache=cache)
     inst = ProblemInstance.from_matrix(M, t)
     cm = report.all_satisfied and specialization_case(inst).cohen_macaulay(inst)
-    return SpecializationResult(
-        specializes=report.all_satisfied,
-        cohen_macaulay="yes" if cm else "unknown",
-        source=report.source,
-        report=report,
-    )
+    return SpecializationResult(cohen_macaulay="yes" if cm else "unknown", report=report)
 
 
 # -- generic-case status ------------------------------------------------------
@@ -414,14 +392,16 @@ BOUND_RULES = (
 def degree_bounds(inst: ProblemInstance, k: int, *, hypotheses_attested: bool = False) -> DegreeBoundsResult:
     """Bounds on b0 and td of the degree-k piece of the defining ideal.
 
-    The caller must attest that hypothesis_check(mode="bounds") passed for
+    The caller must attest that hypothesis_check(capped=True) passed for
     the matrix the instance came from; evaluation itself is pure formula
-    work, so tabulating over k after one verification is cheap.
+    work, so tabulating over k after one verification is cheap.  Each call
+    reads the deadline, so `time_limit` bounds a tabulation over many k.
     """
     if not hypotheses_attested:
         raise NotAttestedError(
-            "degree_bounds requires hypotheses_attested=True after a passing hypothesis_check(mode='bounds')"
+            "degree_bounds requires hypotheses_attested=True after a passing hypothesis_check(capped=True)"
         )
+    check_deadline("degree-bound evaluation")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"power k must be a positive integer, got {k!r}")
     rule = next(matching(BOUND_RULES, inst), None)
@@ -529,7 +509,7 @@ def classify(M: PolyMatrix, t: int, cache: LowerIdealCache | None = None) -> Cla
     for rule in matching(CONCLUSION_RULES, inst):
         if rule.capped not in holds:
             schedule = specialization_case(inst).schedule(inst, rule.capped)
-            holds[rule.capped] = all(cache.lower_height(j) >= required for j, required in schedule)
+            holds[rule.capped] = all(row.satisfied for row in height_rows(cache, schedule))
         if holds[rule.capped]:
             detail = rule.detail(inst) if rule.detail else None
             conclusions.append(Conclusion(rule.claim, rule.source, hypotheses_verified=True, detail=detail))

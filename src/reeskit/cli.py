@@ -269,7 +269,7 @@ def _gs_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealC
             {
                 "j": r.j,
                 "threshold": r.threshold,
-                "height": _ext(r.actual_height),
+                "height": _ext(r.actual),
                 "required": r.required,
                 "satisfied": r.satisfied,
             }
@@ -312,9 +312,9 @@ def _specialize_section(M: PolyMatrix, t: int, req: Request, cache: groebner.Low
     result = bounds_mod.specialization_check(M, t, cache=cache)
     return {
         "analysis": "specialize",
-        "source": result.source,
+        "source": result.report.source,
         "rows": _hypothesis_rows(result.report),
-        "specializes": result.specializes,
+        "specializes": result.report.all_satisfied,
         "cohen_macaulay": result.cohen_macaulay,
     }
 
@@ -343,7 +343,7 @@ def _bound_value_json(v: bounds_mod.BoundValue | None) -> object:
 
 
 def _bounds_section(M: PolyMatrix, t: int, req: Request, cache: groebner.LowerIdealCache) -> dict:
-    hyp = bounds_mod.hypothesis_check(M, t, "bounds", cache=cache)
+    hyp = bounds_mod.hypothesis_check(M, t, capped=True, cache=cache)
     section: dict = {
         "analysis": "bounds",
         "hypotheses": {"source": hyp.source, "rows": _hypothesis_rows(hyp), "satisfied": hyp.all_satisfied},

@@ -3,9 +3,10 @@
 `time_limit(seconds)` bounds the work inside its block.  The loops that
 can run long (polynomial products, enumeration of minors and Pfaffians,
 the independence filter, the Buchberger set-up and main loop, reductions,
-the height ceiling check and the dimension search) call `check_deadline`
-with the name of their stage, for example `polynomial arithmetic` or
-`Buchberger set-up`; past the deadline that raises ComputationTimeout
+the height ceiling check, the dimension search and, once per power k, the
+degree-bound evaluation) call `check_deadline` with the name of their
+stage, for example `polynomial arithmetic`, `Buchberger set-up` or
+`degree-bound evaluation`; past the deadline that raises ComputationTimeout
 naming the stage and, inside `ideal_named`, the ideal.  Both values are
 ContextVars, so threads and contexts do not share them.
 """

@@ -3,13 +3,15 @@
 For an ideal of t x t minors (or 2t x 2t Pfaffians) of generic height, G_s
 holds exactly when every lower ideal of j x j minors (2j x 2j Pfaffians),
 1 <= j <= t-1, has height at least min(theta_j, s), where theta_j is a
-binomial threshold depending on the matrix kind.  `check_Gs` evaluates the
-heights with Groebner bases; `max_Gs_generic` is the independent closed
-form for generic matrices, including the one exceptional family
-(3 <= t = m, n = m+3) where the answer is 18.
-
-SPECIALIZATION_CASES holds the Prop 4.7 schedules of cases i-v (capped at d
-by Cor 5.1.4); `bounds` takes its case split from it.
+binomial threshold depending on the matrix kind.  The specialization and
+degree-bound hypotheses have the same form, ht >= required =
+min(threshold, cap) at each level, with no cap (Prop 4.7) or cap d
+(Cor 5.1.4): `levels` states it once, `height_rows` evaluates it lazily
+as `HeightRow`s, and `check_Gs` and the `bounds` checks read those rows.
+SPECIALIZATION_CASES holds the Prop 4.7 thresholds of cases i-v.
+`max_Gs_generic` is the independent closed form for generic matrices,
+including the one exceptional family (3 <= t = m, n = m+3) where the
+answer is 18.
 
 Convention: `t` counts minors for ordinary/symmetric matrices; for
 alternating matrices `t` is half the Pfaffian size (the ideal is Pf_{2t}).
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import DomainError, NotApplicableError
 from .groebner import LowerIdealCache, expected_generic_height
@@ -120,10 +122,9 @@ class SpecializationCase:
     def source(self, capped: bool) -> str:
         return f"Cor 5.1.4{self.tag}" if capped else f"Prop 4.7{self.tag}"
 
-    def schedule(self, inst: ProblemInstance, capped: bool) -> list[tuple[int, int]]:
-        """(j, required height) pairs, j ascending."""
-        pairs = [(j, self.threshold(inst, j)) for j in range(1, inst.t)]
-        return [(j, min(theta, inst.d)) for j, theta in pairs] if capped else pairs
+    def schedule(self, inst: ProblemInstance, capped: bool) -> list[tuple[int, int, int]]:
+        """The `levels` of the hypothesis, capped at d or not."""
+        return levels(inst, self.threshold, inst.d if capped else math.inf)
 
 
 def _generic_height_at(inst: ProblemInstance, j: int) -> int:
@@ -153,13 +154,35 @@ def specialization_case(inst: ProblemInstance) -> SpecializationCase:
     return case
 
 
+# -- height hypotheses ----------------------------------------------------------
+
+
+def levels(inst: ProblemInstance, threshold: Callable[[ProblemInstance, int], int], cap) -> list[tuple[int, int, int]]:
+    """(j, threshold, required) for 1 <= j <= t-1, j ascending, where the
+    level-j ideal must have height >= required = min(threshold, cap); cap
+    is a positive integer or math.inf."""
+    thresholds = [(j, threshold(inst, j)) for j in range(1, inst.t)]
+    return [(j, theta, min(theta, cap)) for j, theta in thresholds]
+
+
 @dataclass(frozen=True)
-class GsRow:
+class HeightRow:
+    """One level of a height hypothesis, evaluated on a matrix."""
+
     j: int
     threshold: int
-    actual_height: object  # int or math.inf
     required: int
+    actual: object  # int or math.inf
     satisfied: bool
+
+
+def height_rows(cache: LowerIdealCache, schedule: list[tuple[int, int, int]]) -> Iterator[HeightRow]:
+    """The rows of a `levels` schedule, lazily: the height of a level is
+    computed only when its row is reached, so a caller that stops at the
+    first failing row builds no ideal past it."""
+    for j, threshold, required in schedule:
+        actual = cache.lower_height(j)
+        yield HeightRow(j, threshold, required, actual, actual >= required)
 
 
 @dataclass(frozen=True)
@@ -170,7 +193,7 @@ class GsReport:
     otherwise the minimum height over the thresholds that fail.
     """
 
-    per_j: tuple[GsRow, ...]
+    per_j: tuple[HeightRow, ...]
     max_s: object  # int or math.inf
     satisfied: bool
 
@@ -200,18 +223,10 @@ def check_Gs(M: PolyMatrix, t: int, s, cache: LowerIdealCache | None = None) -> 
         raise DomainError(f"s must be a positive integer or +inf, got {s!r}")
     cache = cache if cache is not None else LowerIdealCache(M)
     cache.require_generic(t)
-    inst = ProblemInstance.from_matrix(M, t)
-    rows = []
-    for j in range(1, inst.t):
-        theta = gs_threshold(inst, j)
-        actual = cache.lower_height(j)
-        required = min(theta, s)
-        rows.append(GsRow(j=j, threshold=theta, actual_height=actual, required=required, satisfied=actual >= required))
-    failing = [r.actual_height for r in rows if r.actual_height < r.threshold]
-    max_s = min(failing) if failing else math.inf
+    rows = tuple(height_rows(cache, levels(ProblemInstance.from_matrix(M, t), gs_threshold, s)))
     return GsReport(
-        per_j=tuple(rows),
-        max_s=max_s,
+        per_j=rows,
+        max_s=min((r.actual for r in rows if r.actual < r.threshold), default=math.inf),
         satisfied=all(r.satisfied for r in rows),
     )
 

@@ -17,15 +17,16 @@ from reeskit.bounds import (
 )
 from reeskit.errors import (
     CharacteristicError,
+    ComputationTimeout,
     DomainError,
     GenericHeightError,
     NotApplicableError,
     NotAttestedError,
 )
-from reeskit.groebner import LowerIdealCache
+from reeskit.groebner import LowerIdealCache, time_limit
 from reeskit.gs import ProblemInstance, matching
 from reeskit.matrixalg import PolyMatrix, generic_matrix
-from reeskit.poly import FieldSpec, PolyRing
+from reeskit.poly import FieldSpec, PolyRing, parse_poly
 
 F32003 = FieldSpec.prime(32003)
 
@@ -82,8 +83,7 @@ class TestGenericStatus:
 class TestHypothesisCheck:
     def test_maximal_minors_2x3_specialization(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
-        report = hypothesis_check(M, 2, "specialization")
-        assert report.case == "i"
+        report = hypothesis_check(M, 2, capped=False)
         assert report.source == "Prop 4.7i"
         (row,) = report.per_j
         assert (row.j, row.required, row.actual, row.satisfied) == (1, 3, 6, True)
@@ -91,7 +91,7 @@ class TestHypothesisCheck:
 
     def test_maximal_minors_2x3_bounds_caps_at_d(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
-        report = hypothesis_check(M, 2, "bounds")
+        report = hypothesis_check(M, 2, capped=True)
         assert report.source == "Cor 5.1.4i"
         (row,) = report.per_j
         assert row.required == min(3, 6) == 3
@@ -99,8 +99,8 @@ class TestHypothesisCheck:
 
     def test_alternating_submaximal_5x5(self):
         M = generic_matrix(5, 5, "alternating", field=F32003)
-        report = hypothesis_check(M, 2, "specialization")
-        assert report.case == "iv"
+        report = hypothesis_check(M, 2, capped=False)
+        assert report.source == "Prop 4.7iv"
         (row,) = report.per_j
         assert (row.j, row.required, row.actual) == (1, 5, 10)
         assert report.all_satisfied
@@ -110,44 +110,44 @@ class TestHypothesisCheck:
         kinds = [("ordinary", 2, 4, 2), ("symmetric", 3, 3, 2), ("alternating", 5, 5, 2), ("ordinary", 3, 4, 3)]
         for kind, m, n, t in kinds:
             M = generic_matrix(m, n, kind, field=F32003)
-            spec = hypothesis_check(M, t, "specialization")
-            cap = hypothesis_check(M, t, "bounds")
+            spec = hypothesis_check(M, t, capped=False)
+            cap = hypothesis_check(M, t, capped=True)
             if all(row.required <= M.ring.nvars for row in spec.per_j) and spec.all_satisfied:
                 assert cap.all_satisfied
 
-    def test_invalid_mode(self):
+    def test_capped_is_keyword_only(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
-        with pytest.raises(DomainError):
-            hypothesis_check(M, 2, "everything")
+        with pytest.raises(TypeError):
+            hypothesis_check(M, 2, "specialization")
 
     def test_generic_height_precondition(self):
         ring_mat = generic_matrix(2, 2, "ordinary", field=F32003)
         x = ring_mat.entry(0, 0)
         M = PolyMatrix("ordinary", [[x, x, x], [x, x, x]])
         with pytest.raises(GenericHeightError):
-            hypothesis_check(M, 2, "specialization")
+            hypothesis_check(M, 2, capped=False)
 
 
 class TestSpecializationCheck:
     def test_maximal_minors_cm(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
         result = specialization_check(M, 2)
-        assert result.specializes
+        assert result.report.all_satisfied
         assert result.cohen_macaulay == "yes"
-        assert result.source == "Prop 4.7i"
+        assert result.report.source == "Prop 4.7i"
 
     def test_symmetric_cm_unknown(self):
         M = generic_matrix(3, 3, "symmetric", field=F32003)
         result = specialization_check(M, 2)
-        assert result.specializes
+        assert result.report.all_satisfied
         assert result.cohen_macaulay == "unknown"
-        assert result.source == "Prop 4.7iii"
+        assert result.report.source == "Prop 4.7iii"
 
     def test_ordinary_lower_minor_char_condition(self):
         # t < m over characteristic 2 with min(t, m-t) = 2: CM stays unknown.
         M2 = generic_matrix(4, 4, "ordinary", field=FieldSpec.prime(2))
         result = specialization_check(M2, 2)
-        assert result.specializes
+        assert result.report.all_satisfied
         assert result.cohen_macaulay == "unknown"
         M0 = generic_matrix(4, 4, "ordinary")
         assert specialization_check(M0, 2).cohen_macaulay == "yes"
@@ -155,7 +155,7 @@ class TestSpecializationCheck:
     def test_alternating_char_condition(self):
         M = generic_matrix(8, 8, "alternating", field=FieldSpec.prime(3))
         result = specialization_check(M, 2)  # Pf_4, min(4, 4) = 4 >= 3
-        assert result.specializes
+        assert result.report.all_satisfied
         assert result.cohen_macaulay == "unknown"
         big = generic_matrix(8, 8, "alternating", field=FieldSpec.prime(5))
         assert specialization_check(big, 2).cohen_macaulay == "yes"
@@ -174,6 +174,13 @@ class TestDegreeBounds:
     def test_attestation_required(self):
         with pytest.raises(NotAttestedError):
             degree_bounds(inst("ordinary", 3, 3, 3, d=4), 2)
+
+    def test_time_limit_bounds_the_evaluation(self):
+        # A tabulation over many k is pure formula work; each call reads the
+        # deadline, so --timeout stops it as it stops Groebner work.
+        with pytest.raises(ComputationTimeout, match="during degree-bound evaluation$"):
+            with time_limit(0.0):
+                degree_bounds(inst("ordinary", 2, 3, 2, d=6), 1, hypotheses_attested=True)
 
     def test_square_maximal_minors_vanish(self):
         result = degree_bounds(inst("ordinary", 3, 3, 3, d=4, delta=2), 5, hypotheses_attested=True)
@@ -396,6 +403,21 @@ class TestClassify:
         assert (FIBER_TYPE, "Cor 5.2.3a") in sources
         assert all(c.hypotheses_verified for c in report.conclusions)
 
+    def test_builds_no_ideal_past_the_first_failing_level(self):
+        # Entries in x, y only: I_3 has the generic height 2, but I_1 has
+        # height 2, below both the uncapped requirement 4 and the capped
+        # min(4, d) = 4 at j = 1, so neither schedule reaches I_2.
+        ring = PolyRing(("x", "y", "z", "w"), field=F32003)
+        rows = [
+            ["3*x + 2*y", "x + 5*y", "7*x + y", "2*x + 9*y"],
+            ["x + y", "4*x + 3*y", "x + 8*y", "6*x + y"],
+            ["5*x + 2*y", "2*x + 7*y", "9*x + 4*y", "x + 3*y"],
+        ]
+        M = PolyMatrix("ordinary", [[parse_poly(text, ring) for text in row] for row in rows])
+        cache = LowerIdealCache(M)
+        assert classify(M, 3, cache=cache).conclusions == ()
+        assert set(cache.generator_counts) == {("minors", 3), ("minors", 1)}
+
     def test_generic_3x3_submaximal(self):
         M = generic_matrix(3, 3, "ordinary")
         report = classify(M, 2)
@@ -465,7 +487,7 @@ class TestClassify:
         assert (LINEAR_TYPE, "Cor 5.2.3b") in got
         assert (FIBER_TYPE, "Cor 5.2.3a") in got
         spec = specialization_check(M, 2, cache=cache)
-        assert spec.specializes and spec.cohen_macaulay == "yes"
+        assert spec.report.all_satisfied and spec.cohen_macaulay == "yes"
 
     def test_shared_cache_reuses_heights(self):
         M = generic_matrix(2, 3, "ordinary", field=F32003)
@@ -498,8 +520,8 @@ class TestClassify:
         assert (LINEAR_TYPE, "Cor 4.8i") not in got
         assert (FIBER_TYPE, "Cor 5.2.3a") in got
         assert (MAXIMAL_IDEAL_ANNIHILATES, "Cor 5.2.3c") in got  # n=m+1, d<=m, delta=1
-        spec = hypothesis_check(M, 2, "specialization")
-        cap = hypothesis_check(M, 2, "bounds")
+        spec = hypothesis_check(M, 2, capped=False)
+        cap = hypothesis_check(M, 2, capped=True)
         assert not spec.all_satisfied and cap.all_satisfied
 
     def test_constant_matrix_matches_nothing(self):
@@ -508,4 +530,4 @@ class TestClassify:
         M = PolyMatrix("ordinary", [[ring.one()]])
         assert classify(M, 1).conclusions == ()
         with pytest.raises(GenericHeightError):
-            hypothesis_check(M, 1, "specialization")
+            hypothesis_check(M, 1, capped=False)

@@ -70,7 +70,8 @@ def test_table_schedule_equals_the_stated_one(key):
             if stated_key(rule.source) != key:
                 continue
             assert rule.capped is capped, rule.source
-            assert specialization_case(inst).schedule(inst, rule.capped) == stated(inst), (rule.source, inst)
+            schedule = specialization_case(inst).schedule(inst, rule.capped)
+            assert [(j, required) for j, _, required in schedule] == stated(inst), (rule.source, inst)
             checked += 1
     assert checked > 0
 

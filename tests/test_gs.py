@@ -131,7 +131,7 @@ class TestCheckGs:
         assert report.max_s == math.inf
         assert report.satisfied
         (row,) = report.per_j
-        assert (row.j, row.threshold, row.actual_height) == (1, 3, 6)
+        assert (row.j, row.threshold, row.actual) == (1, 3, 6)
 
     def test_non_generic_height_raises_instead_of_reporting(self):
         # A repeated column leaves I_2 = (ad - bc), of height 1, not 2.

@@ -1,6 +1,7 @@
 """Smoke tests of tools/report_diff.py, which compares the reports of two
 source trees run by run."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -65,6 +66,19 @@ def test_a_calls_line_can_name_a_file_in_the_problems_directory(tmp_path):
     assert "\n  -  height = 1\n" in done.stdout
     assert "\n  +ran\n" in done.stdout
     assert done.stdout.endswith("1 runs, 1 differ\n")
+
+
+def test_only_a_scaling_limit_probe_runs_without_its_timeout(tmp_path):
+    # A probe may finish on one tree and expire on the other by timing
+    # alone, so both run it to the end and compare its report.
+    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    probes = {f"{w}/{b.id}" for w, bases in tool.corpus.BASES.items() for b in bases if b.may_expire}
+    runs = dict(tool.base_runs(None, tmp_path))
+    assert probes and probes < set(runs)
+    assert not any("--timeout" in runs[name] for name in probes)
+    assert any("--timeout" in argv for argv in runs.values())
 
 
 def test_unknown_problem_is_an_error():

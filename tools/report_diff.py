@@ -3,17 +3,24 @@
     python3 tools/report_diff.py OLD_TREE NEW_TREE [--calls FILE] [--only [ID ...]]
 
 Each tree is a directory holding `src/reeskit`.  The runs are every base
-problem of every perfbench workload, as written (no seeded presentation),
-followed by the command lines in FILE, one per line in shell quoting
-(blank lines and lines starting with `#` are skipped).  `--only` keeps the
-named base problems and drops the rest; with no ID it drops them all, so
-`--only --calls FILE` runs the calls file alone.  Every run starts its own
-`python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a time,
-first on OLD_TREE and then on NEW_TREE, in the same working directory and
-with the same problem file.  The problem file of every base problem is
-written there as ID.json, whether it runs or not, and the `*.json` files
-of a `problems` directory beside FILE are copied there, so a calls line
-can name either.
+problem of every perfbench workload, as written (no seeded presentation)
+except that a scaling-limit probe (`may_expire`) runs without its
+`--timeout`, followed by the command lines in FILE, one per line in shell
+quoting (blank lines and lines starting with `#` are skipped).  `--only`
+keeps the named base problems and drops the rest; with no ID it drops them
+all, so `--only --calls FILE` runs the calls file alone.  Every run starts
+its own `python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a
+time, first on OLD_TREE and then on NEW_TREE, in the same working
+directory and with the same problem file.  The problem file of every base
+problem is written there as ID.json, whether it runs or not, and the
+`*.json` files of a `problems` directory beside FILE are copied there, so
+a calls line can name either.
+
+A probe's run time straddles its limit, so with the limit one tree could
+expire where the other finishes: a difference of timing, not of the
+program.  Without the limit both trees compute the probe's full report and
+the tool compares it, which checks more than an expiry does; RUN_CAP_S
+still bounds the run.
 
 It prints each run whose exit code, stdout or stderr differs, with a
 unified diff of the streams that differ, and exits 1 if any run differs,
@@ -24,6 +31,7 @@ for the base problems and only reads it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import difflib
 import json
 import os
@@ -49,7 +57,7 @@ def base_runs(only: set[str] | None, workdir: Path) -> list[tuple[str, list[str]
     runs = []
     for workload, bases in corpus.BASES.items():
         for base in bases:
-            p = corpus.problem(base, None, base.id, None)
+            p = corpus.problem(dataclasses.replace(base, timeout=None) if base.may_expire else base, None, base.id, None)
             argv = p["argv"]
             if p["doc"] is not None:
                 path = workdir / f"{base.id}.json"
