@@ -517,7 +517,7 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--field", help="coefficient field: 'rationals' or a prime (default GF(32003))")
     sub.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
     sub.add_argument("--json", action="store_true", help="structured output")
-    sub.add_argument("--timeout", type=float, help="abort Groebner work after this many seconds (exit 2)")
+    sub.add_argument("--timeout", type=float, help="abort the computation after this many seconds (exit 2)")
 
 
 @functools.cache

@@ -26,7 +26,7 @@ _ideal_name: ContextVar[str | None] = ContextVar("reeskit_ideal_name", default=N
 
 @contextmanager
 def time_limit(seconds: float):
-    """Bound Groebner work inside the block; expiry raises ComputationTimeout.
+    """Bound the work inside the block; expiry raises ComputationTimeout.
     0 expires at the first check and inf never; NaN, which would never
     expire, and negative values raise DomainError."""
     if not seconds >= 0:
@@ -61,4 +61,4 @@ def check_deadline(stage: str):
     if limit is not None and time.monotonic() > limit:
         name = _ideal_name.get()
         where = stage if name is None else f"{stage} of {name}"
-        raise ComputationTimeout(f"Groebner computation exceeded the time limit during {where}")
+        raise ComputationTimeout(f"computation exceeded the time limit during {where}")

@@ -66,4 +66,6 @@ class NotAttestedError(PreconditionError):
 
 
 class ComputationTimeout(PreconditionError):
-    """A Groebner computation exceeded the configured deadline."""
+    """A computation exceeded the configured deadline: any stage that reads
+    the clock (see `deadline`), from polynomial arithmetic and enumeration
+    to Buchberger and the degree-bound evaluation."""

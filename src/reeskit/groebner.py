@@ -10,8 +10,9 @@ the height path, which passes a stop test, skips the inter-reduction.
 Inside this module a monomial is a Python int (`MonomialPacking`), and a
 polynomial is a dict from those ints to coefficients.  `Polynomial` is the
 interface: inputs are packed once on entry and results unpacked once on
-exit.  Each variable gets a field of w bits, whose top bit is a guard bit
-and whose other bits hold an exponent of at most C = 2^(w-1) - 1:
+exit, and a height run that stops on its generators packs nothing (see
+below).  Each variable gets a field of w bits, whose top bit is a guard
+bit and whose other bits hold an exponent of at most C = 2^(w-1) - 1:
 
 * lex: field i holds e_i, the first variable in the most significant field.
 * grevlex: field i holds C - e_i, the last variable in the most significant
@@ -65,10 +66,10 @@ ideal is a flat degeneration over a polynomial ring.
 
 Heights stop early at a ceiling.  `IdealHandle.height` of an ideal I with
 homogeneous generators of positive degree runs Buchberger with a stop
-test: on the generators before any pair is formed, and again at each
-sugar boundary where the leading-term set has grown, it asks whether the
-leading terms found so far reach the handle's ceiling c, and ends the run
-if they do.  The answer is then exactly c:
+test: on the generators, and again at each sugar boundary where the
+leading-term set has grown, it asks whether the leading terms found so far
+reach the handle's ceiling c, and ends the run if they do.  The answer is
+then exactly c:
 
 * Every element found lies in I, so its leading term lies in in(I), and
   the monomial ideal J of the leading terms so far has ht J <= ht in(I)
@@ -86,7 +87,11 @@ if they do.  The answer is then exactly c:
   the height comes from the full leading-term ideal as above.
 
 The check computes ht J by the same recursion as the dimension search
-and compares it with c.  Inhomogeneous generators may span the unit
+and compares it with c.  The check on the generators reads the leading
+terms of the `Polynomial`s themselves, before anything is packed; when it
+succeeds, the run returns the generators made monic and packs nothing, so
+an ideal whose generators reach c pays for no packing.  Only a run that
+goes on packs its generators.  Inhomogeneous generators may span the unit
 ideal, so their run has no ceiling test and completes.  Every height run
 skips the inter-reduction, since the leading terms of any Groebner basis
 generate in(I).
@@ -353,10 +358,12 @@ def buchberger(
 
     With `stop`, the result is not inter-reduced and may be only part of a
     Groebner basis.  `stop` is called with the leading monomials found so
-    far: on the generators before any pair is formed, and again before the
-    first pair of each higher sugar when the list has grown since the last
-    call.  When it returns True the run ends with the elements found so
-    far.  The unit ideal still gives the basis (1,).
+    far, in ascending order: on the generators before anything is packed,
+    and again before the first pair of each higher sugar when the list has
+    grown since the last call.  When it returns True the run ends with the
+    elements found so far; on the generators, that is the generators made
+    monic, read from the `Polynomial`s with no packing.  The unit ideal
+    still gives the basis (1,).
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -364,6 +371,18 @@ def buchberger(
     ring = _ring_of(gens)
     if any(g.degree() == 0 for g in gens):
         return (ring.one(),)
+    if stop is not None:
+        lms = []
+        for count, g in enumerate(gens, 1):
+            if count % _DEADLINE_EVERY_GENERATORS == 0:
+                check_deadline("Buchberger set-up")
+            lms.append(g.leading_monomial())
+        keys = [ring.mkey(lm) for lm in lms]
+        order = sorted(range(len(gens)), key=keys.__getitem__)
+        if stop([lms[i] for i in order]):
+            order.sort(key=keys.__getitem__, reverse=True)
+            inverse = ring.field.inverse
+            return tuple(gens[i] * inverse(gens[i].terms[lms[i]]) for i in order)
     packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing, stop))
     if basis is None:
         return (ring.one(),)
@@ -374,7 +393,8 @@ def _buchberger(
     gens: list[Polynomial], field: FieldSpec, packing: MonomialPacking, stop: Callable | None
 ) -> list[dict] | None:
     """The packed basis, descending by leading monomial, reduced unless a
-    `stop` test is given (see `buchberger`); None for the unit ideal."""
+    `stop` test is given (see `buchberger`, which has already called it on
+    the generators); None for the unit ideal."""
     modulus = field.modulus
     guard = packing.guard
 
@@ -420,9 +440,8 @@ def _buchberger(
     # `checked` reducers had been added when `stop` last ran; `level` is the
     # sugar of the last pair taken.
     checked, level = len(reducers), 0
-    if stop is None or not stop(lms):
-        for j in range(len(reducers)):
-            push_pairs(j)
+    for j in range(len(reducers)):
+        push_pairs(j)
 
     while heap:
         check_deadline(stage)
@@ -555,10 +574,16 @@ def _minimal_supports(monomials: Iterable[Monomial]) -> list[int] | None:
         masks.add(mask)
     if 0 in masks:
         return None
-    # Drop supersets: hitting a minimal support hits its supersets.
+    # Drop supersets: hitting a minimal support hits its supersets.  Two
+    # distinct supports of one size cannot contain one another, so each is
+    # tested only against the kept supports of smaller size, `below`.
     minimal: list[int] = []
+    below: list[int] = []
+    size = 0
     for s in sorted(masks, key=int.bit_count):
-        if not any(t & s == t for t in minimal):
+        if s.bit_count() > size:
+            size, below = s.bit_count(), minimal[:]
+        if not any(t & s == t for t in below):
             minimal.append(s)
     return minimal
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -43,6 +43,9 @@ Monomial = tuple[int, ...]
 # A product reads the clock before its first term product and then once per
 # this many term products, at the start of a term of the left operand.
 _DEADLINE_EVERY_PRODUCTS = 4096
+
+# m[::-1]: the exponents from the last variable backwards.
+_reversed = itemgetter(slice(None, None, -1))
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial | None:
@@ -264,14 +267,29 @@ class Polynomial:
         return sorted(self._terms.items(), key=lambda kv: self.ring.mkey(kv[0]), reverse=True)
 
     def leading_term(self) -> tuple[Monomial, object] | None:
-        if not self._terms:
-            return None
-        m = max(self._terms, key=self.ring.mkey)
-        return m, self._terms[m]
+        m = self.leading_monomial()
+        return None if m is None else (m, self._terms[m])
 
     def leading_monomial(self) -> Monomial | None:
-        lt = self.leading_term()
-        return None if lt is None else lt[0]
+        """The greatest monomial in the ring's order, found without building
+        a `MonomialOrder.key` for each term.
+
+        Lex compares exponent tuples from the first variable on, as tuples
+        compare, so the leader is `max(terms)`.  Grevlex compares
+        key(m) = (deg m, (-e_{n-1}, ..., -e_0)): first the total degree, so
+        the leader has the highest one; then, among those terms, the negated
+        exponents from the last variable backwards, whose greatest tuple is
+        the smallest m[::-1].  Distinct monomials have distinct keys, so
+        each maximum is one monomial, the one `max(terms, key=mkey)` gives.
+        """
+        terms = self._terms
+        if not terms:
+            return None
+        if self.ring.order is MonomialOrder.LEX:
+            return max(terms)
+        degrees = list(map(sum, terms))
+        top = max(degrees)
+        return min((m for m, d in zip(terms, degrees) if d == top), key=_reversed)
 
     def degree(self) -> int | None:
         """Total degree; None for the zero polynomial."""

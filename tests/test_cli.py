@@ -462,7 +462,7 @@ class TestRun:
         code = run(["generic", "--kind", "alternating", "--n", "6", "--t", "2", "--analyses", "height", "--timeout", "0"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "precondition failure: Groebner computation exceeded the time limit "
+            "precondition failure: computation exceeded the time limit "
             "during Pfaffian enumeration of pfaffians(4)\n"
         )
 
@@ -472,7 +472,7 @@ class TestRun:
         code = run(["height", write_problem(tmp_path, doc), "--timeout", "0"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "precondition failure: Groebner computation exceeded the time limit during polynomial arithmetic\n"
+            "precondition failure: computation exceeded the time limit during polynomial arithmetic\n"
         )
 
     def test_timeout_bounds_the_pfaffian(self, tmp_path, capsys):

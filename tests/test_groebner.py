@@ -397,6 +397,20 @@ class TestMonomialDimension:
             for ceiling in (ht - 1, ht, ht + 1):
                 assert groebner._reaches(mons, ceiling) == (ht >= ceiling), (mons, ceiling)
 
+    def test_minimal_supports_match_the_quadratic_filter(self):
+        # The filter tests a support only against the kept ones of smaller
+        # size; every pair test must drop the same supersets.
+        rng = random.Random(61014)
+        dropped = 0
+        for _ in range(300):
+            nvars, mons = self.random_monomials(rng)
+            masks = {sum(1 << i for i, e in enumerate(m) if e) for m in mons}
+            quadratic = {s for s in masks if not any(t != s and t & s == t for t in masks)}
+            minimal = groebner._minimal_supports(mons)
+            assert len(minimal) == len(quadratic) and set(minimal) == quadratic, mons
+            dropped += len(masks) - len(minimal)
+        assert dropped >= 100
+
     def test_constant_generator_gives_the_zero_ring(self):
         assert monomial_ideal_dimension([(0, 0, 0), (1, 0, 0)], 3) == -1
 
@@ -592,6 +606,18 @@ class TestHeightCeiling:
         assert (I.ceiling, I.height()) == (20, 20)
         A = generic_matrix(9, 9, "alternating", field=F32003)
         assert ideal_of_pfaffians(A, 4).height() == 21
+
+    def test_generic_5x6_minors_and_9x9_pfaffians_pack_nothing(self, monkeypatch):
+        # The check on the generators reads the Polynomials' own leading
+        # terms, and a run that stops there packs no monomial.
+        I = ideal_of_minors(generic_matrix(5, 6, "ordinary", field=F32003), 2)
+        P = ideal_of_pfaffians(generic_matrix(9, 9, "alternating", field=F32003), 4)
+
+        def no_packing(*args):
+            raise AssertionError("a monomial was packed")
+
+        monkeypatch.setattr(MonomialPacking, "pack", no_packing)
+        assert (I.height(), P.height()) == (20, 21)
 
     def test_repeated_column_stays_below_the_ceiling(self):
         # I_2 of a generic 5x6 matrix whose last column repeats the fifth

@@ -255,6 +255,25 @@ class TestMonomialOrders:
             # 1 is minimal
             assert key(one) <= key(u)
 
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    def test_leading_term_is_the_greatest_under_the_order_key(self, order, any_field):
+        # Mixed degrees, so grevlex compares the total degree and, among
+        # the terms of the top degree, the exponents from the last variable.
+        rng = random.Random(f"leading:{order.value}:{any_field}")
+        ties = 0
+        for _ in range(300):
+            ring = PolyRing(tuple(f"v{i}" for i in range(rng.randint(1, 6))), field=any_field, order=order)
+            p = random_poly(rng, ring, max_terms=8)
+            if p.is_zero:
+                assert p.leading_term() is None and p.leading_monomial() is None
+                continue
+            m = max(p.terms, key=ring.mkey)
+            assert p.leading_monomial() == m
+            assert p.leading_term() == (m, p.terms[m])
+            ties += sum(sum(e) == sum(m) for e in p.terms) > 1
+        # Several terms shared the top degree in many trials.
+        assert ties >= 30
+
     def test_grevlex_vs_lex_disagree(self):
         # x^2*y vs x*y^3: grevlex compares degree first, lex the first slot.
         g = MonomialOrder.GREVLEX.key

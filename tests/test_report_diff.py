@@ -68,17 +68,36 @@ def test_a_calls_line_can_name_a_file_in_the_problems_directory(tmp_path):
     assert done.stdout.endswith("1 runs, 1 differ\n")
 
 
-def test_only_a_scaling_limit_probe_runs_without_its_timeout(tmp_path):
-    # A probe may finish on one tree and expire on the other by timing
-    # alone, so both run it to the end and compare its report.
+def load_tool():
     spec = importlib.util.spec_from_file_location("report_diff", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_only_a_scaling_limit_probe_runs_without_its_timeout(tmp_path):
+    # A probe may finish on one tree and expire on the other by timing
+    # alone, so both run it to the end and compare its report.
+    tool = load_tool()
     probes = {f"{w}/{b.id}" for w, bases in tool.corpus.BASES.items() for b in bases if b.may_expire}
     runs = dict(tool.base_runs(None, tmp_path))
     assert probes and probes < set(runs)
     assert not any("--timeout" in runs[name] for name in probes)
     assert any("--timeout" in argv for argv in runs.values())
+
+
+def test_a_long_diff_is_cut_with_a_count_of_the_rest():
+    tool = load_tool()
+    many = "\n".join(map(str, range(1000))) + "\n"
+    lines = tool.describe("calls.txt:1", ["height", "a.json"], (0, "a\n", ""), (0, many, "x\n"))
+    # The stdout diff has 1004 lines: two file headers, one hunk header,
+    # -a and a + line for each of the 1000 new ones.
+    stdout = lines[1 : 2 + tool.DIFF_LINES]
+    assert stdout[:4] == ["  --- old stdout", "  +++ new stdout", "  @@ -1 +1,1000 @@", "  -a"]
+    assert stdout[-1] == f"  ... {1004 - tool.DIFF_LINES} more diff lines"
+    # A diff no longer than the cap is printed whole, with no count.
+    assert lines[2 + tool.DIFF_LINES :] == ["  --- old stderr", "  +++ new stderr", "  @@ -0,0 +1 @@", "  +x"]
+    assert len(lines) == 2 + tool.DIFF_LINES + 4
 
 
 def test_unknown_problem_is_an_error():

@@ -23,8 +23,9 @@ the tool compares it, which checks more than an expiry does; RUN_CAP_S
 still bounds the run.
 
 It prints each run whose exit code, stdout or stderr differs, with a
-unified diff of the streams that differ, and exits 1 if any run differs,
-0 if none does.  Standard library only; it imports perfbench/corpus.py
+unified diff of the streams that differ, each cut after DIFF_LINES lines
+and followed by the count of the lines left out, and exits 1 if any run
+differs, 0 if none does.  Standard library only; it imports perfbench/corpus.py
 for the base problems and only reads it.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import itertools
 import json
 import os
 import shlex
@@ -49,6 +51,8 @@ import corpus  # noqa: E402
 
 # A run that takes longer than this is killed and recorded as exit "killed".
 RUN_CAP_S = 600
+# Each stream's diff is printed up to this many lines, then the count of the rest.
+DIFF_LINES = 40
 
 
 def base_runs(only: set[str] | None, workdir: Path) -> list[tuple[str, list[str]]]:
@@ -107,7 +111,10 @@ def describe(name: str, argv: list[str], old: tuple, new: tuple) -> list[str]:
     for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
         if a != b:
             diff = difflib.unified_diff(a.splitlines(), b.splitlines(), f"old {stream}", f"new {stream}", lineterm="")
-            lines.extend("  " + d for d in diff)
+            lines.extend("  " + d for d in itertools.islice(diff, DIFF_LINES))
+            rest = sum(1 for _ in diff)
+            if rest:
+                lines.append(f"  ... {rest} more diff lines")
     return lines
 
 
