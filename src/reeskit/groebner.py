@@ -7,40 +7,16 @@ unique reduced Groebner basis of its ideal: no leading term divides
 another, every tail is fully reduced, and every element is monic.  Only
 the height path, which passes a stop test, skips the inter-reduction.
 
-Inside this module a monomial is a Python int (`MonomialPacking`), and a
-polynomial is a dict from those ints to coefficients.  `Polynomial` is the
-interface: inputs are packed once on entry and results unpacked once on
-exit, and a height run that stops on its generators packs nothing (see
-below).  Each variable gets a field of w bits, whose top bit is a guard
-bit and whose other bits hold an exponent of at most C = 2^(w-1) - 1:
-
-* lex: field i holds e_i, the first variable in the most significant field.
-* grevlex: field i holds C - e_i, the last variable in the most significant
-  field, and the total degree sits above all fields.
-
-Integer order is the monomial order.  The fields never exceed C, so an int
-is a mixed-radix number whose digits, most significant first, are
-(e_0, ..., e_{n-1}) under lex and (deg, -e_{n-1} + C, ..., -e_0 + C) under
-grevlex; ints compare digit by digit, which is `MonomialOrder.key`.
-
-Arithmetic.  Let K be the int with C in every field under grevlex, 0 under
-lex.  Then a product is P(ab) = P(a) + P(b) - K and a quotient is
-P(a/b) = P(a) - P(b) + K.  In a quotient each field of P(a) + K - P(b) is
-a_i - b_i (lex) or C + b_i - a_i (grevlex).  When b divides a, every field
-lies in [0, C]: nothing borrows and every guard bit is clear.  When b_i > a_i
-somewhere, take the least significant such field.  The fields below it are
-in range and lend nothing, so it holds a value in [-C, -1] (lex) or
-[C + 1, 2C] (grevlex) in w bits, and its guard bit is set; negative ints
-behave alike, since `&` reads them in two's complement.  So one subtraction
-and a guard mask decide divisibility exactly, and the subtraction is the
-quotient.  A product is read the same way: a field sums to a_i + b_i
-(lex) or C - a_i - b_i (grevlex).  With no exponent sum above C every
-field lies in [0, C] and no guard bit is set; otherwise the least
-significant field whose sum passes C sets its guard bit.  So one rule
-covers every product: a guard bit set is an overflow.  `mul`, `_reduce`
-and `_spair` raise PackingOverflow by it on the products they form, as
-`pack` does for an exponent above C, and the entry points restart from
-their `Polynomial` inputs with twice the width.
+Inside this module a monomial is a Python int and a polynomial a dict
+from those ints to coefficients, in the layout of module `packed`, whose
+docstring proves that the int order is the monomial order and that one
+subtraction and a guard mask decide divisibility.  `_reduce` and `_spair`
+test each product they form by the guard rule and raise PackingOverflow,
+and the entry points restart with the inputs re-packed at twice the width.
+`buchberger` and `normal_form` pack `Polynomial` inputs once on entry and
+unpack results once on exit.  An ideal of minors or Pfaffians is packed
+once, at the matrix (`matrixalg.packed_minors`), and `IdealHandle` hands
+those packed generators to `buchberger` as they are.
 
 Reduction keeps the pending terms in a max-heap of negated ints with lazy
 deletion: a term that cancels leaves its heap entry behind, and an entry
@@ -87,20 +63,25 @@ then exactly c:
   the height comes from the full leading-term ideal as above.
 
 The check computes ht J by the same recursion as the dimension search
-and compares it with c.  The check on the generators reads the leading
-terms of the `Polynomial`s themselves, before anything is packed; when it
-succeeds, the run returns the generators made monic and packs nothing, so
-an ideal whose generators reach c pays for no packing.  Only a run that
-goes on packs its generators.  Inhomogeneous generators may span the unit
-ideal, so their run has no ceiling test and completes.  Every height run
-skips the inter-reduction, since the leading terms of any Groebner basis
-generate in(I).
+and compares it with c.  It reads only the supports of the leading
+monomials, and reads them from the packed ints: the leading monomial of a
+packed polynomial is the `max` of its keys, and its support is the guard
+bits of one sum (`MonomialPacking.support`).  So the check on the
+generators, made before any pair is formed, builds no exponent tuple.
+When it succeeds, the run returns the generators' leading terms, the one
+exponent tuple it unpacks per generator, and an ideal whose generators
+reach c costs its enumeration, the independence filter, one `max` and one
+mask per generator, and the recursion.  Only a
+run that goes on forms S-pairs.  Inhomogeneous generators may span the
+unit ideal, so their run has no ceiling test and completes.  Every height
+run skips the inter-reduction and returns only leading terms, since the
+leading terms of any Groebner basis generate in(I).
 
 An ideal of minors or Pfaffians is generated by those that are linearly
 independent, in selector order: the rest lie in their span and add nothing
 to the ideal.  `_independent` is the one generator filter; it drops
-repeats and scalar multiples with the rest, and Buchberger takes any other
-generators as given.
+repeats and scalar multiples with the rest, keying its pivots on packed
+ints, and Buchberger takes any other generators as given.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit` (module `deadline`, which lists the
@@ -120,17 +101,10 @@ from typing import Callable, Iterable, Sequence
 
 from .deadline import check_deadline, ideal_named, time_limit  # noqa: F401  (time_limit re-exported)
 from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatchError
-from .matrixalg import MatrixKind, PolyMatrix, enumerate_minors, enumerate_pfaffians
-from .poly import (
-    FieldSpec,
-    Monomial,
-    MonomialOrder,
-    PolyRing,
-    Polynomial,
-    homogeneous_degree,
-    mon_div,
-    mon_lcm,
-)
+from .matrixalg import MatrixKind, PolyMatrix, packed_minors, packed_pfaffians
+from .matrixalg import enumerate_minors, enumerate_pfaffians  # noqa: F401  (perfbench's tracer test wraps these bindings)
+from .packed import PRODUCT_OVERFLOW, MonomialPacking, Packed, PackingOverflow  # noqa: F401  (MonomialPacking re-exported)
+from .poly import FieldSpec, Monomial, PolyRing, Polynomial, mon_div, mon_lcm
 
 # Reductions read the clock once per this many terms taken.
 _DEADLINE_EVERY_STEPS = 256
@@ -159,96 +133,17 @@ def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
     return ring.term(inverse(fc), mon_div(lcm, fm)) * f - ring.term(inverse(gc), mon_div(lcm, gm)) * g
 
 
-# -- packed monomials ---------------------------------------------------------
+# -- the packed core -----------------------------------------------------------
 
 
-class PackingOverflow(DomainError):
-    """An exponent does not fit the field width of a MonomialPacking."""
-
-
-_PRODUCT_OVERFLOW = "a product exponent exceeds the packed width"
-
-
-class MonomialPacking:
-    """Exponent tuples of one ring packed into ints ordered like the monomials.
-
-    The layout, and why the product, the quotient and the divisibility test
-    are exact, are in the module docstring.
-    """
-
-    __slots__ = ("nvars", "order", "width", "max_exponent", "offset", "guard", "_shifts", "_top", "_field")
-
-    def __init__(self, nvars: int, order: MonomialOrder, width: int):
-        if width < 2:
-            raise DomainError(f"a packed field needs a guard bit and an exponent bit, got width {width}")
-        grevlex = order is MonomialOrder.GREVLEX
-        self.nvars = nvars
-        self.order = order
-        self.width = width
-        self.max_exponent = cap = (1 << (width - 1)) - 1
-        self._field = (1 << width) - 1
-        self._shifts = tuple(width * (i if grevlex else nvars - 1 - i) for i in range(nvars))
-        self._top = width * nvars if grevlex else None
-        self.offset = sum(cap << s for s in self._shifts) if grevlex else 0
-        self.guard = sum(1 << (s + width - 1) for s in self._shifts)
-
-    @classmethod
-    def fitting(cls, ring: PolyRing, polys: Iterable[Polynomial]) -> "MonomialPacking":
-        """A packing of the ring's order with room for twice the largest
-        exponent in the polynomials, and at least 7 exponent bits."""
-        top = max((max(m, default=0) for p in polys for m in p.terms), default=0)
-        return cls(ring.nvars, ring.order, max(8, (2 * top).bit_length() + 1))
-
-    def widened(self) -> "MonomialPacking":
-        return MonomialPacking(self.nvars, self.order, 2 * self.width)
-
-    def pack(self, m: Monomial) -> int:
-        if max(m, default=0) > self.max_exponent:
-            raise PackingOverflow(f"exponent {max(m)} exceeds the packed maximum {self.max_exponent}")
-        x = sum(e << s for e, s in zip(m, self._shifts))
-        if self._top is None:
-            return x
-        return (sum(m) << self._top) + self.offset - x
-
-    def unpack(self, x: int) -> Monomial:
-        field = self._field
-        if self._top is None:
-            return tuple((x >> s) & field for s in self._shifts)
-        cap = self.max_exponent
-        return tuple(cap - ((x >> s) & field) for s in self._shifts)
-
-    def degree(self, x: int) -> int:
-        return x >> self._top if self._top is not None else sum(self.unpack(x))
-
-    def mul(self, a: int, b: int) -> int:
-        """The packed product; raises PackingOverflow past the width."""
-        r = a + b - self.offset
-        if r & self.guard:
-            raise PackingOverflow(_PRODUCT_OVERFLOW)
-        return r
-
-    def div(self, a: int, b: int) -> int | None:
-        """The packed quotient a / b, or None when b does not divide a."""
-        r = a - b + self.offset
-        return None if r & self.guard else r
-
-
-def _packed_run(ring: PolyRing, polys: Sequence[Polynomial], compute: Callable):
-    """(packing, compute(packing)), doubling the width on each overflow."""
-    packing = MonomialPacking.fitting(ring, polys)
+def _packed_run(packed: Packed, compute: Callable):
+    """(packed, compute(packed)), re-packing at twice the width on each
+    overflow."""
     while True:
         try:
-            return packing, compute(packing)
+            return packed, compute(packed)
         except PackingOverflow:
-            packing = packing.widened()
-
-
-def _pack(packing: MonomialPacking, p: Polynomial) -> dict:
-    return {packing.pack(m): c for m, c in p.terms.items()}
-
-
-def _unpack(ring: PolyRing, packing: MonomialPacking, poly: dict) -> Polynomial:
-    return Polynomial(ring, {packing.unpack(m): c for m, c in poly.items()}, _clean=True)
+            packed = packed.widened()
 
 
 def _monic(poly: dict, field: FieldSpec) -> dict:
@@ -312,7 +207,7 @@ def _reduce(work: dict, reducers: list[tuple], packing: MonomialPacking, modulus
                 v = work.get(mm)
                 if v is None:
                     if mm & guard:
-                        raise PackingOverflow(_PRODUCT_OVERFLOW)
+                        raise PackingOverflow(PRODUCT_OVERFLOW)
                     work[mm] = f * tc % modulus
                     heappush(heap, -mm)
                 else:
@@ -337,64 +232,72 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     basis = [g for g in basis if not g.is_zero]
     field = p.ring.field
 
-    def compute(packing: MonomialPacking) -> dict:
-        reducers = [_reducer(_monic(_pack(packing, g), field), packing) for g in basis]
-        return _reduce(_pack(packing, p), reducers, packing, field.modulus, "normal form reduction")
+    def compute(packed: Packed) -> dict:
+        packing, (work, *gens) = packed.packing, packed.polys
+        reducers = [_reducer(_monic(g, field), packing) for g in gens]
+        return _reduce(dict(work), reducers, packing, field.modulus, "normal form reduction")
 
-    packing, remainder = _packed_run(p.ring, [p, *basis], compute)
-    return _unpack(p.ring, packing, remainder)
+    packed, remainder = _packed_run(Packed.of(p.ring, [p, *basis]), compute)
+    return packed.polynomial(remainder)
 
 
 def buchberger(
-    gens: Sequence[Polynomial], *, stop: Callable[[list[Monomial]], bool] | None = None
+    gens: Sequence[Polynomial] | Packed, *, stop: Callable[[list[int]], bool] | None = None
 ) -> tuple[Polynomial, ...]:
     """Reduced Groebner basis of the ideal the generators span, for the
     order of their ring.
 
+    The generators are `Polynomial`s, or packed polynomials (`Packed`, as
+    an `IdealHandle` holds them), which the run takes as they are.
     Deterministic: sugar-degree selection with lcm/index tie-breaks, and the
     reduced basis is unique for (ideal, order) anyway.  Returns generators
     sorted by descending leading monomial.  Repeated generators need no
     filter: their S-pairs reduce to zero.
 
-    With `stop`, the result is not inter-reduced and may be only part of a
-    Groebner basis.  `stop` is called with the leading monomials found so
-    far, in ascending order: on the generators before anything is packed,
-    and again before the first pair of each higher sugar when the list has
-    grown since the last call.  When it returns True the run ends with the
-    elements found so far; on the generators, that is the generators made
-    monic, read from the `Polynomial`s with no packing.  The unit ideal
-    still gives the basis (1,).
+    With `stop`, the run skips the inter-reduction and returns only the
+    leading terms of the elements it found, made monic, sorted the same
+    way: they generate a monomial ideal inside the leading-term ideal, all
+    of it when the run completes.  `stop` is called with the supports of
+    their leading monomials (bitmasks, one bit per variable, read from the
+    packed ints): on the generators, and again before the first pair of
+    each higher sugar when the list has grown since the last call.  When it
+    returns True the run ends.  The unit ideal still gives the basis (1,).
     """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
+    if not isinstance(gens, Packed):
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            return ()
+        gens = Packed.of(_ring_of(gens), gens)
+    ring, packing, polys = gens
+    polys = [p for p in polys if p]
+    if not polys:
         return ()
-    ring = _ring_of(gens)
-    if any(g.degree() == 0 for g in gens):
+    leads = []
+    for count, p in enumerate(polys, 1):
+        if count % _DEADLINE_EVERY_GENERATORS == 0:
+            check_deadline("Buchberger set-up")
+        leads.append(max(p))
+    if packing.offset in leads:  # a constant generator
         return (ring.one(),)
-    if stop is not None:
-        lms = []
-        for count, g in enumerate(gens, 1):
-            if count % _DEADLINE_EVERY_GENERATORS == 0:
-                check_deadline("Buchberger set-up")
-            lms.append(g.leading_monomial())
-        keys = [ring.mkey(lm) for lm in lms]
-        order = sorted(range(len(gens)), key=keys.__getitem__)
-        if stop([lms[i] for i in order]):
-            order.sort(key=keys.__getitem__, reverse=True)
-            inverse = ring.field.inverse
-            return tuple(gens[i] * inverse(gens[i].terms[lms[i]]) for i in order)
-    packing, basis = _packed_run(ring, gens, lambda packing: _buchberger(gens, ring.field, packing, stop))
+    one = ring.field.coerce(1)
+
+    def leading_terms(lms: Iterable[Monomial]) -> tuple[Polynomial, ...]:
+        return tuple(Polynomial(ring, {lm: one}, _clean=True) for lm in lms)
+
+    if stop is not None and stop(list(map(packing.support, leads))):
+        return leading_terms(map(packing.unpack, sorted(leads, reverse=True)))
+    packed, basis = _packed_run(gens._replace(polys=polys), lambda packed: _buchberger(packed, stop))
     if basis is None:
         return (ring.one(),)
-    return tuple(_unpack(ring, packing, g) for g in basis)
+    return tuple(map(packed.polynomial, basis)) if stop is None else leading_terms(basis)
 
 
-def _buchberger(
-    gens: list[Polynomial], field: FieldSpec, packing: MonomialPacking, stop: Callable | None
-) -> list[dict] | None:
-    """The packed basis, descending by leading monomial, reduced unless a
-    `stop` test is given (see `buchberger`, which has already called it on
-    the generators); None for the unit ideal."""
+def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
+    """The reduced packed basis, descending by leading monomial, or with a
+    `stop` test (see `buchberger`, which has already called it on the
+    generators) the leading monomials of the elements found, as exponent
+    tuples in that order; None for the unit ideal."""
+    field, packing = packed.ring.field, packed.packing
     modulus = field.modulus
     guard = packing.guard
 
@@ -417,10 +320,10 @@ def _buchberger(
 
     stage = "Buchberger set-up"
     polys = []
-    for count, g in enumerate(gens, 1):
+    for count, g in enumerate(packed.polys, 1):
         if count % _DEADLINE_EVERY_GENERATORS == 0:
             check_deadline(stage)
-        polys.append(_monic(_pack(packing, g), field))
+        polys.append(_monic(g, field))
     for count, poly in enumerate(sorted(polys, key=max), 1):
         if count % _DEADLINE_EVERY_GENERATORS == 0:
             check_deadline(stage)
@@ -437,8 +340,9 @@ def _buchberger(
             sugar = max(sugars[i] + deg - degs[i], sugars[j] + deg - degs[j])
             heappush(heap, (sugar, packing.pack(lcm), i, j))
 
-    # `checked` reducers had been added when `stop` last ran; `level` is the
-    # sugar of the last pair taken.
+    # `checked` reducers had been added when `stop` last ran, or the
+    # generators before its first call; `level` is the sugar of the last
+    # pair taken.
     checked, level = len(reducers), 0
     for j in range(len(reducers)):
         push_pairs(j)
@@ -447,7 +351,7 @@ def _buchberger(
         check_deadline(stage)
         if stop is not None and heap[0][0] > level and len(reducers) > checked:
             checked = len(reducers)
-            if stop(lms):
+            if stop([packing.support(r[0] + packing.offset) for r in reducers]):
                 break
         sugar, lcm, i, j = heappop(heap)
         level = sugar
@@ -478,8 +382,7 @@ def _buchberger(
 
     if stop is None:
         return _inter_reduce(reducers, field, packing)
-    one = field.coerce(1)
-    return [_polynomial(r, packing, one) for r in sorted(reducers, key=itemgetter(0), reverse=True)]
+    return [lms[i] for i in sorted(range(len(reducers)), key=lambda i: reducers[i][0], reverse=True)]
 
 
 def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> dict:
@@ -489,11 +392,11 @@ def _spair(lcm: int, a: tuple, b: tuple, packing: MonomialPacking, modulus) -> d
     qa, qb = lcm - a[0], lcm - b[0]
     work = {qa + tk: c for tk, c in zip(a[1], a[2])}
     if any(m & guard for m in work):
-        raise PackingOverflow(_PRODUCT_OVERFLOW)
+        raise PackingOverflow(PRODUCT_OVERFLOW)
     for tk, c in zip(b[1], b[2]):
         m = qb + tk
         if m & guard:
-            raise PackingOverflow(_PRODUCT_OVERFLOW)
+            raise PackingOverflow(PRODUCT_OVERFLOW)
         v = (work.get(m, 0) - c) % modulus
         if v:
             work[m] = v
@@ -549,29 +452,33 @@ def monomial_ideal_dimension(monomials: Iterable[Monomial], nvars: int) -> int:
     variables hitting every support (`_support_height`).  Returns nvars for
     the zero ideal and -1 when a generator is constant (zero ring).
     """
-    supports = _minimal_supports(monomials)
+    supports = _minimal_supports(map(_support, monomials))
     if supports is None:
         return -1
     return nvars - _support_height(supports, "dimension search")
 
 
-def _reaches(monomials: Iterable[Monomial], ceiling: int) -> bool:
-    """Has the ideal of these nonconstant monomials height >= `ceiling`?"""
+def _support(m: Monomial) -> int:
+    """The variables of m as a bitmask, bit i for variable i."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e > 0:
+            mask |= 1 << i
+    return mask
+
+
+def _reaches(supports: Iterable[int], ceiling: int) -> bool:
+    """Has the ideal of monomials with these supports (bitmasks, none
+    empty) height >= `ceiling`?"""
     stage = "height ceiling check"
     check_deadline(stage)
-    return _support_height(_minimal_supports(monomials), stage) >= ceiling
+    return _support_height(_minimal_supports(supports), stage) >= ceiling
 
 
-def _minimal_supports(monomials: Iterable[Monomial]) -> list[int] | None:
-    """The supports that contain no other, as int bitmasks (bit i for
-    variable i); None when a monomial is constant."""
-    masks: set[int] = set()
-    for m in monomials:
-        mask = 0
-        for i, e in enumerate(m):
-            if e > 0:
-                mask |= 1 << i
-        masks.add(mask)
+def _minimal_supports(supports: Iterable[int]) -> list[int] | None:
+    """The supports (bitmasks) that contain no other; None when one is
+    empty, the support of a constant."""
+    masks = set(supports)
     if 0 in masks:
         return None
     # Drop supersets: hitting a minimal support hits its supersets.  Two
@@ -662,53 +569,68 @@ def _support_height(supports: list[int], stage: str) -> int:
 class IdealHandle:
     """An ideal of a polynomial ring, answering its height.
 
-    The ring is the generators' ring; the zero ideal names it with `ring`.
-    `ceiling`, when given, is an upper bound on the height of the ideal
-    whenever it is proper, at which `height` may stop Buchberger early when
-    the generators are homogeneous; inhomogeneous generators take the same
-    run with no ceiling test (see the module docstring).  `name` (for
-    example `minors(3)`) appears in timeout messages.
+    The generators are `Polynomial`s, packed once here, or already packed
+    (`Packed`, as `ideal_of_minors` and `ideal_of_pfaffians` build them);
+    zero generators are dropped.  The ring is the generators' ring; the
+    zero ideal names it with `ring`.  `ceiling`, when given, is an upper
+    bound on the height of the ideal whenever it is proper, at which
+    `height` may stop early when the generators are homogeneous;
+    inhomogeneous generators take a full run with no ceiling test (see the
+    module docstring).  `name` (for example `minors(3)`) appears in timeout
+    messages.
     """
 
     def __init__(
         self,
-        generators: Iterable[Polynomial],
+        generators: Iterable[Polynomial] | Packed,
         ring: PolyRing | None = None,
         *,
         ceiling: int | None = None,
         name: str | None = None,
     ):
-        gens = tuple(generators)
-        if gens:
-            gens_ring = _ring_of(gens)
-            if ring is not None and ring != gens_ring:
-                raise RingMismatchError("the generators live in a different ring from the one given")
-            ring = gens_ring
-        elif ring is None:
-            raise DomainError("the zero ideal needs an explicit ring")
-        self.generators = gens
-        self.ring = ring
+        if isinstance(generators, Packed):
+            packed = generators
+        else:
+            gens = tuple(generators)
+            if not gens and ring is None:
+                raise DomainError("the zero ideal needs an explicit ring")
+            packed = Packed.of(_ring_of(gens) if gens else ring, gens)
+        if ring is not None and ring != packed.ring:
+            raise RingMismatchError("the generators live in a different ring from the one given")
+        self._packed = packed._replace(polys=[p for p in packed.polys if p])
+        self.ring = ring = packed.ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
+
+    @property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """The nonzero generators, as `Polynomial`s made on each access."""
+        return tuple(self._packed.polynomials())
+
+    @property
+    def generator_count(self) -> int:
+        return len(self._packed.polys)
 
     def height(self):
         """Extended height: +inf for the unit ideal, 0 for the zero ideal.
 
-        One Buchberger run without inter-reduction.  With homogeneous
-        generators it stops once the leading terms reach the ceiling, and
-        the height is the ceiling; the module docstring has the proof.
-        Otherwise the height comes from the leading terms of the run."""
-        homogeneous = all(homogeneous_degree(g) is not None for g in self.generators)
+        One Buchberger run on the packed generators, without inter-reduction.
+        With homogeneous generators it stops once the leading terms reach
+        the ceiling, on the generators themselves or later, and the height
+        is the ceiling; the module docstring has the proof.  Otherwise the
+        height comes from the leading terms of the run."""
+        packing = self._packed.packing
+        homogeneous = all(map(packing.is_homogeneous, self._packed.polys))
         reached = False
 
-        def at_ceiling(lms: list[Monomial]) -> bool:
+        def at_ceiling(supports: list[int]) -> bool:
             nonlocal reached
-            reached = homogeneous and _reaches(lms, self.ceiling)
+            reached = homogeneous and _reaches(supports, self.ceiling)
             return reached
 
         nvars = self.ring.nvars
         with ideal_named(self.name):
-            basis = buchberger(self.generators, stop=at_ceiling)
+            basis = buchberger(self._packed, stop=at_ceiling)
             if not basis:
                 return 0
             if basis[0].degree() == 0:
@@ -718,27 +640,31 @@ class IdealHandle:
             return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
 
     def __repr__(self) -> str:
-        return f"IdealHandle({len(self.generators)} generators over {self.ring})"
+        return f"IdealHandle({self.generator_count} generators over {self.ring})"
 
 
 # -- determinantal and Pfaffian ideals ---------------------------------------
 
 
-def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial]:
+def _independent(packed: Packed) -> Packed:
     """The polynomials outside the span of those before them, in order.
 
     Exact elimination over the ring's field: each kept polynomial is stored
-    as a row keyed by its largest monomial (tuple order; any fixed total
-    order on monomials serves), and a later one is dropped when clearing
-    those pivots from it leaves zero.  Each step cancels the row's largest
-    monomial and adds only smaller ones, so the reduction terminates.
+    as a row keyed by its largest packed monomial (any fixed total order on
+    monomials serves), and a later one is dropped when clearing those
+    pivots from it leaves zero.  Each step cancels the row's largest
+    monomial and adds only smaller ones, so the reduction terminates.  A
+    polynomial is kept exactly when it lies outside the span of the kept
+    rows, which span what the polynomials before it span, so the order
+    chosen changes no outcome.
     """
-    inverse, mod = ring.field.inverse, ring.field.modulus
-    pivots: dict[Monomial, dict] = {}
+    field = packed.ring.field
+    inverse, mod = field.inverse, field.modulus
+    pivots: dict[int, dict] = {}
     kept = []
-    for p in polys:
+    for p in packed.polys:
         check_deadline("independence filter")
-        row = dict(p.terms)
+        row = dict(p)
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -753,7 +679,7 @@ def _independent(polys: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial
                     row.pop(m, None)
                 else:
                     row[m] = s
-    return kept
+    return packed._replace(polys=kept)
 
 
 def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
@@ -768,8 +694,8 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
     name = f"minors({t})"
     with ideal_named(name):
-        gens = _independent(enumerate_minors(M, t), M.ring)
-    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=name)
+        gens = _independent(packed_minors(M, t))
+    return IdealHandle(gens, ceiling=ceiling, name=name)
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -784,9 +710,9 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         return IdealHandle((), ring=M.ring)
     name = f"pfaffians({two_t})"
     with ideal_named(name):
-        gens = _independent(enumerate_pfaffians(M, two_t), M.ring)
+        gens = _independent(packed_pfaffians(M, two_t))
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
-    return IdealHandle(gens, ring=M.ring, ceiling=ceiling, name=name)
+    return IdealHandle(gens, ceiling=ceiling, name=name)
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:
@@ -849,7 +775,7 @@ class LowerIdealCache:
         """A new handle on the ideal of (family, size); records its count of
         linearly independent generators."""
         ideal = (ideal_of_pfaffians if family == "pfaffians" else ideal_of_minors)(self.M, size)
-        self.generator_counts[family, size] = len(ideal.generators)
+        self.generator_counts[family, size] = ideal.generator_count
         return ideal
 
     def _height(self, family: str, size: int):

@@ -7,13 +7,29 @@ are validated entrywise at construction; the common homogeneous entry degree
 Determinants, adjoints and enumerations of minors all take one route: the
 expansion along the first row, with a memo over (rows, cols) pairs shared by
 the whole computation.  An n x n determinant costs about n*2^(n-1) entry
-products that way, whatever the entries.  The plain, unmemoized cofactor
-expansion `det_cofactor` stays public as the independent reference the
-tests compare against.  Pfaffians use the first-row Laplace expansion with a
-shared memo over index subsets, and the Pfaffian adjoint is the alternating
-matrix whose (i, j) entry, i < j, is (-1)^(i+j) times the Pfaffian of the
-matrix with rows and columns i, j deleted; it satisfies
-pfadj(M)*M = Pf(M)*I.
+products that way, whatever the entries.  Pfaffians use the first-row
+Laplace expansion with a shared memo over index subsets, and the Pfaffian
+adjoint is the alternating matrix whose (i, j) entry, i < j, is
+(-1)^(i+j) times the Pfaffian of the matrix with rows and columns i, j
+deleted; it satisfies pfadj(M)*M = Pf(M)*I.
+
+Packing happens once, at the matrix.  `_Expansion` packs each entry into
+the int monomials of module `packed` and multiplies dicts of them, a term
+product being one int sum.  Its width comes from a degree bound, which is
+also the proof that nothing overflows: a t x t minor or a 2t x 2t Pfaffian
+is a sum of products of t entries, so each exponent of every term formed
+is at most t*e, e the largest exponent among the entries, and the packing
+has room for 2*t*e.  `packed_minors` and `packed_pfaffians` hand the
+packed polynomials to `groebner` as they are; `Polynomial`s are made only
+where a public function returns them (`enumerate_minors`,
+`enumerate_pfaffians`, `determinant`, `pfaffian` and the adjoints).  The
+plain, unmemoized cofactor expansion on `Polynomial`s, `det_cofactor`,
+stays public as the independent reference the tests compare against.
+
+The products read the clock under `minor enumeration` or `Pfaffian
+enumeration` when they enumerate, under `polynomial arithmetic` for a lone
+determinant, Pfaffian or adjoint: before the first and then once per
+`_DEADLINE_EVERY_PRODUCTS` term products, at a term of the left factor.
 """
 
 from __future__ import annotations
@@ -24,7 +40,9 @@ from typing import Iterable, Sequence
 
 from .deadline import check_deadline
 from .errors import DomainError, KindShapeError
+from .packed import MonomialPacking, Packed
 from .poly import (
+    _DEADLINE_EVERY_PRODUCTS,
     ALL_DEGREES,
     FieldSpec,
     MonomialOrder,
@@ -190,6 +208,83 @@ def generic_matrix(
     return PolyMatrix(kind, rows)
 
 
+# -- the packed expansion ----------------------------------------------------
+
+
+class _Expansion:
+    """The memoized first-row expansion of one matrix, on packed polynomials.
+
+    `size` is the number of entries in one product of the largest minor or
+    Pfaffian asked for (t for a t x t minor and for a 2t x 2t Pfaffian); the
+    packing has room for twice `size` times the largest entry exponent, so
+    no product is guard-tested (the module docstring has the proof).  Minors
+    are memoized by (rows, cols) and Pfaffians by their index tuple, across
+    the whole computation.  The products read the clock under `stage`.
+    """
+
+    __slots__ = ("packed", "_entries", "_memo", "_modulus", "_stage", "_due")
+
+    def __init__(self, M: PolyMatrix, size: int, stage: str):
+        top = max((max(m, default=0) for row in M.rows for e in row for m in e.terms), default=0)
+        packing = MonomialPacking.with_room(M.ring, size * top)
+        self.packed = Packed(M.ring, packing, [])
+        self._entries = [[{packing.pack(m): c for m, c in e.terms.items()} for e in row] for row in M.rows]
+        self._memo: dict = {}
+        self._modulus = M.ring.field.modulus
+        self._stage = stage
+        self._due = 0
+
+    def _add_product(self, total: dict, a: dict, b: dict, negate: bool):
+        """total += a*b, or -= when `negate`; in place."""
+        mod, k, width = self._modulus, self.packed.packing.offset, len(b)
+        for ma, ca in a.items():
+            if self._due <= 0:
+                check_deadline(self._stage)
+                self._due = _DEADLINE_EVERY_PRODUCTS
+            self._due -= width
+            q = ma - k
+            if negate:
+                ca = -ca
+            for mb, cb in b.items():
+                m = q + mb
+                s = (total.get(m, 0) + ca * cb) % mod
+                if s:
+                    total[m] = s
+                else:  # a product of nonzero coefficients is nonzero: m was there
+                    del total[m]
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+        """Determinant on nonempty rows x cols (increasing indices)."""
+        if len(rows) == 1:
+            return self._entries[rows[0]][cols[0]]
+        total = self._memo.get((rows, cols))
+        if total is not None:
+            return total
+        first, rest = self._entries[rows[0]], rows[1:]
+        total = {}
+        for pos, col in enumerate(cols):
+            if first[col]:
+                self._add_product(total, first[col], self.minor(rest, cols[:pos] + cols[pos + 1 :]), pos % 2 == 1)
+        self._memo[rows, cols] = total
+        return total
+
+    def pfaffian(self, idx: tuple[int, ...]) -> dict:
+        """Pfaffian of the principal submatrix on idx (increasing, even length)."""
+        if not idx:
+            return {self.packed.packing.offset: self.packed.ring.field.coerce(1)}
+        total = self._memo.get(idx)
+        if total is not None:
+            return total
+        first, rest = self._entries[idx[0]], idx[1:]
+        total = {}
+        for pos, other in enumerate(rest):
+            if first[other]:
+                # Expansion along the first row: positions alternate +, -, +, ...
+                self._add_product(total, first[other], self.pfaffian(rest[:pos] + rest[pos + 1 :]), pos % 2 == 1)
+        self._memo[idx] = total
+        return total
+
+
 # -- determinants ----------------------------------------------------------
 
 
@@ -213,9 +308,14 @@ def _det_cofactor_grid(grid: list[list[Polynomial]], ring: PolyRing) -> Polynomi
 
 
 def det_cofactor(M: PolyMatrix) -> Polynomial:
+    """The plain cofactor expansion on `Polynomial`s, with no memo: the
+    reference the packed expansion is tested against."""
     if M.m != M.n:
         raise KindShapeError(f"determinant needs a square matrix, got {M.m}x{M.n}")
     return _det_cofactor_grid(M.grid(), M.ring)
+
+
+_ARITHMETIC = "polynomial arithmetic"
 
 
 def determinant(M: PolyMatrix) -> Polynomial:
@@ -225,7 +325,8 @@ def determinant(M: PolyMatrix) -> Polynomial:
     if M.n == 0:
         return M.ring.one()
     full = tuple(range(M.n))
-    return _minor(M, full, full, {})
+    ex = _Expansion(M, M.n, _ARITHMETIC)
+    return ex.packed.polynomial(ex.minor(full, full))
 
 
 def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
@@ -238,39 +339,18 @@ def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(MatrixKind.ORDINARY, (), ring=ring)
     if n == 1:
         return PolyMatrix(MatrixKind.ORDINARY, [[ring.one()]], ring=ring)
-    memo: dict = {}
+    ex = _Expansion(M, n - 1, _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             # adj entry (i, j) is the (j, i) cofactor.
             rows = tuple(r for r in range(n) if r != j)
-            cof = _minor(M, rows, tuple(c for c in range(n) if c != i), memo)
+            cof = ex.packed.polynomial(ex.minor(rows, tuple(c for c in range(n) if c != i)))
             out[i][j] = -cof if (i + j) % 2 else cof
     return PolyMatrix(MatrixKind.ORDINARY, out, ring=ring)
 
 
 # -- Pfaffians --------------------------------------------------------------
-
-
-def _pfaffian_indices(M: PolyMatrix, idx: tuple[int, ...], memo: dict) -> Polynomial:
-    if not idx:
-        return M.ring.one()
-    cached = memo.get(idx)
-    if cached is not None:
-        return cached
-    first = idx[0]
-    rest = idx[1:]
-    total = M.ring.zero()
-    for pos, other in enumerate(rest):
-        e = M.entry(first, other)
-        if e.is_zero:
-            continue
-        sub = rest[:pos] + rest[pos + 1 :]
-        term = e * _pfaffian_indices(M, sub, memo)
-        # Expansion along the first row: positions alternate +, -, +, ...
-        total = total + term if pos % 2 == 0 else total - term
-    memo[idx] = total
-    return total
 
 
 def _require_alternating_even(M: PolyMatrix, op: str):
@@ -283,7 +363,8 @@ def _require_alternating_even(M: PolyMatrix, op: str):
 def pfaffian(M: PolyMatrix) -> Polynomial:
     """Pf(M) by recursive Laplace expansion; Pf of the empty matrix is 1."""
     _require_alternating_even(M, "pfaffian")
-    return _pfaffian_indices(M, tuple(range(M.n)), {})
+    ex = _Expansion(M, M.n // 2, _ARITHMETIC)
+    return ex.packed.polynomial(ex.pfaffian(tuple(range(M.n))))
 
 
 def pfaffian_adjoint(M: PolyMatrix) -> PolyMatrix:
@@ -291,13 +372,13 @@ def pfaffian_adjoint(M: PolyMatrix) -> PolyMatrix:
     _require_alternating_even(M, "pfaffian adjoint")
     n = M.n
     ring = M.ring
-    memo: dict = {}
+    ex = _Expansion(M, max(n // 2 - 1, 0), _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     all_idx = range(n)
     for i in range(n):
         for j in range(i + 1, n):
             sub = tuple(k for k in all_idx if k != i and k != j)
-            pf = _pfaffian_indices(M, sub, memo)
+            pf = ex.packed.polynomial(ex.pfaffian(sub))
             # 1-based sign (-1)^(i+j) is (-1)^(i0+j0) with 0-based indices.
             entry = pf if (i + j) % 2 == 0 else -pf
             out[i][j] = entry
@@ -313,28 +394,9 @@ def minor_selectors(m: int, n: int, t: int) -> list[tuple[tuple[int, ...], tuple
     return [(r, c) for r in combinations(range(m), t) for c in combinations(range(n), t)]
 
 
-def _minor(M: PolyMatrix, rows: tuple[int, ...], cols: tuple[int, ...], memo: dict) -> Polynomial:
-    """Determinant of M on nonempty rows x cols (increasing indices), by
-    expansion along the first row; `memo` holds the minors already computed."""
-    if len(rows) == 1:
-        return M.entry(rows[0], cols[0])
-    cached = memo.get((rows, cols))
-    if cached is not None:
-        return cached
-    first, rest = rows[0], rows[1:]
-    total = M.ring.zero()
-    for pos, col in enumerate(cols):
-        e = M.entry(first, col)
-        if e.is_zero:
-            continue
-        term = e * _minor(M, rest, cols[:pos] + cols[pos + 1 :], memo)
-        total = total - term if pos % 2 else total + term
-    memo[rows, cols] = total
-    return total
-
-
-def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
-    """All t x t minors, selector order lexicographic (rows outer).
+def packed_minors(M: PolyMatrix, t: int) -> Packed:
+    """All t x t minors as packed polynomials, selector order lexicographic
+    (rows outer).
 
     Symmetric matrices skip the selectors with rows > cols: that minor is
     the transpose's determinant, equal to the (cols, rows) one.
@@ -342,26 +404,29 @@ def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
     if not 1 <= t <= min(M.m, M.n):
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
-    memo: dict = {}
-    minors = []
-    for r, c in minor_selectors(M.m, M.n, t):
-        if r <= c or not symmetric:
-            check_deadline("minor enumeration")
-            minors.append(_minor(M, r, c, memo))
-    return minors
+    ex = _Expansion(M, t, "minor enumeration")
+    minors = [ex.minor(r, c) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
+    return ex.packed._replace(polys=minors)
 
 
-def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:
-    """Pfaffians of all principal two_t x two_t submatrices, lexicographic."""
+def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
+    """All t x t minors, in the order of `packed_minors`."""
+    return packed_minors(M, t).polynomials()
+
+
+def packed_pfaffians(M: PolyMatrix, two_t: int) -> Packed:
+    """Pfaffians of all principal two_t x two_t submatrices, lexicographic,
+    as packed polynomials."""
     if M.kind is not MatrixKind.ALTERNATING:
         raise KindShapeError(f"pfaffian enumeration needs an alternating matrix, got {M.kind.value}")
     if two_t % 2 != 0:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if not 2 <= two_t <= M.n:
         raise DomainError(f"pfaffian size {two_t} out of range for a {M.n}x{M.n} matrix")
-    memo: dict = {}
-    pfaffians = []
-    for idx in combinations(range(M.n), two_t):
-        check_deadline("Pfaffian enumeration")
-        pfaffians.append(_pfaffian_indices(M, idx, memo))
-    return pfaffians
+    ex = _Expansion(M, two_t // 2, "Pfaffian enumeration")
+    return ex.packed._replace(polys=[ex.pfaffian(idx) for idx in combinations(range(M.n), two_t)])
+
+
+def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:
+    """Pfaffians of all principal two_t x two_t submatrices, lexicographic."""
+    return packed_pfaffians(M, two_t).polynomials()

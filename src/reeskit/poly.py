@@ -300,7 +300,9 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _check_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        # Operands nearly always share one ring object; identity is cheaper
+        # than the dataclass comparison.
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatchError(f"operands in different rings: {self.ring} vs {other.ring}")
 
     def __add__(self, other):

@@ -2,9 +2,11 @@ import math
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import reeskit.cli as cli
 import reeskit.groebner as groebner
 from reeskit.deadline import ideal_named
 from reeskit.errors import ComputationTimeout, DomainError, RingMismatchError
@@ -23,7 +25,7 @@ from reeskit.groebner import (
     time_limit,
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
-from reeskit.matrixalg import PolyMatrix, enumerate_minors, generic_matrix
+from reeskit.matrixalg import MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, packed_minors, packed_pfaffians
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
 from conftest import brute_force_dimension, random_coeff, random_poly
@@ -217,6 +219,22 @@ class TestPacking:
                     assert packing.degree(pa) == sum(a)
 
     @pytest.mark.parametrize("order", ORDERS)
+    def test_support_mask_marks_the_nonzero_exponents(self, order):
+        # The guard-bit mask of a packed monomial has one bit per variable
+        # of positive exponent, the bit that variable alone packs to; also
+        # at full exponents, where C + e_i reaches 2C.
+        rng = random.Random(13)
+        for nvars, width in ((1, 8), (4, 6), (9, 8), (6, 11)):
+            packing = MonomialPacking(nvars, order, width)
+            cap = packing.max_exponent
+            bits = [packing.support(packing.pack(tuple(int(k == i) for k in range(nvars)))) for i in range(nvars)]
+            assert all(b.bit_count() == 1 for b in bits) and len(set(bits)) == nvars
+            mons = self.random_monomials(rng, nvars, 200, 3) + [(cap,) * nvars, (0,) * nvars]
+            for m in mons:
+                expected = sum(b for b, e in zip(bits, m) if e)
+                assert packing.support(packing.pack(m)) == expected, m
+
+    @pytest.mark.parametrize("order", ORDERS)
     def test_exponents_past_the_width_raise(self, order):
         nvars = 4
         packing = MonomialPacking(nvars, order, 4)  # exponents up to 7
@@ -395,7 +413,7 @@ class TestMonomialDimension:
                 continue
             ht = nvars - brute_force_dimension(mons, nvars)
             for ceiling in (ht - 1, ht, ht + 1):
-                assert groebner._reaches(mons, ceiling) == (ht >= ceiling), (mons, ceiling)
+                assert groebner._reaches(map(groebner._support, mons), ceiling) == (ht >= ceiling), (mons, ceiling)
 
     def test_minimal_supports_match_the_quadratic_filter(self):
         # The filter tests a support only against the kept ones of smaller
@@ -406,7 +424,7 @@ class TestMonomialDimension:
             nvars, mons = self.random_monomials(rng)
             masks = {sum(1 << i for i, e in enumerate(m) if e) for m in mons}
             quadratic = {s for s in masks if not any(t != s and t & s == t for t in masks)}
-            minimal = groebner._minimal_supports(mons)
+            minimal = groebner._minimal_supports(map(groebner._support, mons))
             assert len(minimal) == len(quadratic) and set(minimal) == quadratic, mons
             dropped += len(masks) - len(minimal)
         assert dropped >= 100
@@ -581,7 +599,7 @@ class TestHeightCeiling:
         I = ideal_of_minors(generic_matrix(m, n, "ordinary", field=F32003), 3)
         assert I.ceiling == ceiling
         with time_limit(10):
-            assert groebner._reaches([g.leading_monomial() for g in I.generators], ceiling)
+            assert groebner._reaches([groebner._support(g.leading_monomial()) for g in I.generators], ceiling)
 
     def test_inhomogeneous_unit_ideal_is_infinite(self, qq_xy):
         # The leading term x of 1 + x alone reaches the ceiling 1 = nvars,
@@ -607,17 +625,39 @@ class TestHeightCeiling:
         A = generic_matrix(9, 9, "alternating", field=F32003)
         assert ideal_of_pfaffians(A, 4).height() == 21
 
-    def test_generic_5x6_minors_and_9x9_pfaffians_pack_nothing(self, monkeypatch):
-        # The check on the generators reads the Polynomials' own leading
-        # terms, and a run that stops there packs no monomial.
-        I = ideal_of_minors(generic_matrix(5, 6, "ordinary", field=F32003), 2)
-        P = ideal_of_pfaffians(generic_matrix(9, 9, "alternating", field=F32003), 4)
+    def test_generic_5x6_minors_and_9x9_pfaffians_pack_only_the_entries(self, monkeypatch):
+        # Building the ideals packs each entry term once and multiplies no
+        # Polynomial; the height then packs nothing, reduces no S-pair, and
+        # unpacks only the generators' leading monomials.
+        M = generic_matrix(5, 6, "ordinary", field=F32003)
+        A = generic_matrix(9, 9, "alternating", field=F32003)
+        calls = {"pack": 0, "unpack": 0}
+        pack, unpack = MonomialPacking.pack, MonomialPacking.unpack
 
-        def no_packing(*args):
-            raise AssertionError("a monomial was packed")
+        def counting(name, original):
+            def wrapper(self, x):
+                calls[name] += 1
+                return original(self, x)
 
-        monkeypatch.setattr(MonomialPacking, "pack", no_packing)
+            return wrapper
+
+        def refuse(what):
+            def raising(*args):
+                raise AssertionError(what)
+
+            return raising
+
+        monkeypatch.setattr(MonomialPacking, "pack", counting("pack", pack))
+        monkeypatch.setattr(MonomialPacking, "unpack", counting("unpack", unpack))
+        monkeypatch.setattr(MonomialPacking, "fitting", classmethod(refuse("a Polynomial was packed")))
+        monkeypatch.setattr(Polynomial, "__mul__", refuse("a Polynomial product was formed"))
+        monkeypatch.setattr(groebner, "_spair", refuse("an S-pair was reduced"))
+        I = ideal_of_minors(M, 2)
+        P = ideal_of_pfaffians(A, 4)
+        assert calls == {"pack": 30 + 72, "unpack": 0}
         assert (I.height(), P.height()) == (20, 21)
+        assert calls == {"pack": 30 + 72, "unpack": I.generator_count + P.generator_count}
+        assert (I.generator_count, P.generator_count) == (150, 126)
 
     def test_repeated_column_stays_below_the_ceiling(self):
         # I_2 of a generic 5x6 matrix whose last column repeats the fifth
@@ -654,8 +694,8 @@ class TestHeightCeiling:
         # The generators, then each higher sugar once new elements appeared.
         assert calls[0] == 2 and calls == sorted(set(calls))
         assert {g.leading_monomial() for g in buchberger(gens)} <= {g.leading_monomial() for g in basis}
-        # Stopped at once, the run returns the generators, made monic.
-        assert set(buchberger(gens, stop=lambda lms: True)) == {g.monic() for g in gens}
+        # Stopped at once, the run returns the generators' leading terms, made monic.
+        assert set(buchberger(gens, stop=lambda supports: True)) == {fp_xyz.term(1, g.leading_monomial()) for g in gens}
 
     def test_ceilings_set_by_ideal_of_minors_and_pfaffians(self):
         assert ideal_of_minors(generic_matrix(3, 4, "ordinary", field=F32003), 2).ceiling == 6
@@ -857,10 +897,10 @@ class TestTimeout:
         with pytest.raises(ComputationTimeout, match="during minor enumeration$"):
             with time_limit(0.0):
                 enumerate_minors(M, 2)
-        minors = enumerate_minors(M, 2)
+        minors = packed_minors(M, 2)
         with pytest.raises(ComputationTimeout, match="during independence filter$"):
             with time_limit(0.0):
-                groebner._independent(minors, M.ring)
+                groebner._independent(minors)
 
     def test_time_limit_bounds_the_buchberger_set_up(self, fp_xyz):
         # 300 distinct monomials: `stop` would end the run on the generators,
@@ -923,6 +963,68 @@ class TestTimeout:
         # before terms 0, 15, ..., 270.
         many * many
         assert reads == ["polynomial arithmetic"] * len(range(0, 276, 15))
+
+
+def independent_by_tuples(polys, ring):
+    """The independence filter on `Polynomial`s with pivots keyed by
+    exponent tuples: the reference for the packed one."""
+    inverse, mod = ring.field.inverse, ring.field.modulus
+    pivots, kept = {}, []
+    for p in polys:
+        row = dict(p.terms)
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                kept.append(p)
+                break
+            factor = row[lead] * inverse(pivot[lead]) % mod
+            for m, c in pivot.items():
+                s = (row.get(m, 0) - factor * c) % mod
+                if s == 0:
+                    row.pop(m, None)
+                else:
+                    row[m] = s
+    return kept
+
+
+CALLS = Path(__file__).resolve().parents[1] / "tools" / "calls"
+# Problem files that exist to time out: their full expansions run for minutes.
+TIMEOUT_PROBLEMS = {"alternating-16x16.json", "power-30.json"}
+
+
+def calls_ideals():
+    """(label, generators) of every ideal of minors and Pfaffians of the
+    `tools/calls` problem files, over their fields and in both orders, and
+    of the ideals in `generic-heights.txt`, packed."""
+    for path in sorted((CALLS / "problems").glob("*.json")):
+        if path.name in TIMEOUT_PROBLEMS:
+            continue
+        pf = cli.load_problem(path)
+        for order in MonomialOrder:
+            M = cli.build_matrix(pf, pf.field or cli.DEFAULT_FIELD, order)
+            for t in range(1, min(M.m, M.n) + 1):
+                yield (path.name, order, t), packed_minors(M, t)
+            if M.kind is MatrixKind.ALTERNATING:
+                for two_t in range(2, M.n + 1, 2):
+                    yield (path.name, order, f"Pf {two_t}"), packed_pfaffians(M, two_t)
+    for kind, m, n, t in (("ordinary", 5, 8, 3), ("ordinary", 6, 8, 4), ("symmetric", 8, 8, 4)):
+        yield (kind, m, n, t), packed_minors(generic_matrix(m, n, kind, field=F32003), t)
+    yield ("alternating", 10, 10, 3), packed_pfaffians(generic_matrix(10, 10, "alternating", field=F32003), 6)
+
+
+class TestIndependenceFilter:
+    def test_packed_pivots_keep_what_tuple_pivots_kept(self):
+        # The kept generators (count and order) do not depend on the order
+        # the pivots are keyed by.
+        dropped = 0
+        for label, packed in calls_ideals():
+            polys = packed.polynomials()
+            kept = groebner._independent(packed).polynomials()
+            assert kept == independent_by_tuples(polys, packed.ring), label
+            dropped += len(polys) - len(kept)
+        assert dropped >= 700
 
 
 class TestLowerIdealCache:

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from reeskit.errors import DomainError, KindShapeError
+from reeskit.deadline import time_limit
+from reeskit.errors import ComputationTimeout, DomainError, KindShapeError
 from reeskit.matrixalg import (
     MatrixKind,
     PolyMatrix,
@@ -15,10 +16,12 @@ from reeskit.matrixalg import (
     enumerate_pfaffians,
     generic_matrix,
     minor_selectors,
+    packed_minors,
+    packed_pfaffians,
     pfaffian,
     pfaffian_adjoint,
 )
-from reeskit.poly import FieldSpec, PolyRing, parse_poly
+from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, parse_poly
 
 from conftest import random_poly
 
@@ -397,3 +400,101 @@ class TestEnumeration:
             enumerate_minors(M, 0)
         with pytest.raises(DomainError):
             enumerate_minors(M, 3)
+
+
+def pf_laplace(M, idx):
+    """The Pfaffian on the index tuple by the plain first-row Laplace
+    expansion on `Polynomial`s, with no memo: the reference."""
+    if not idx:
+        return M.ring.one()
+    total = M.ring.zero()
+    for pos, other in enumerate(idx[1:]):
+        term = M.entry(idx[0], other) * pf_laplace(M, idx[1:pos + 1] + idx[pos + 2 :])
+        total = total - term if pos % 2 else total + term
+    return total
+
+
+def random_matrix(rng, ring, kind, n, m=None, max_exp=2):
+    """A kind-valid matrix of sparse random polynomials (some zero) of
+    degree up to `max_exp` in each variable."""
+    m = n if m is None else m
+    upper = {(i, j): random_poly(rng, ring, max_terms=2, max_exp=max_exp) for i in range(m) for j in range(n)}
+    if kind == "ordinary":
+        rows = [[upper[i, j] for j in range(n)] for i in range(m)]
+    elif kind == "symmetric":
+        rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        zero = ring.zero()
+        rows = [[upper[i, j] if i < j else (-upper[j, i] if i > j else zero) for j in range(n)] for i in range(n)]
+    return PolyMatrix(kind, rows, ring=ring)
+
+
+class TestPackedExpansion:
+    """The memoized expansion on packed monomials against the plain
+    expansions on `Polynomial`s: `det_cofactor` and `pf_laplace`."""
+
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    def test_minors_determinant_and_adjoint_match_the_cofactor_expansion(self, any_field, order):
+        rng = random.Random(f"packed-minors:{any_field}:{order.value}")
+        ring = PolyRing(("x", "y", "z"), field=any_field, order=order)
+        for kind, m, n in (("ordinary", 3, 5), ("symmetric", 4, 4), ("ordinary", 4, 4)):
+            M = random_matrix(rng, ring, kind, n, m)
+            assert max(e.degree() or 0 for row in M.rows for e in row) >= 2
+            symmetric = kind == "symmetric"
+            for t in range(1, min(m, n) + 1):
+                selectors = [(r, c) for r, c in minor_selectors(m, n, t) if r <= c or not symmetric]
+                expected = [det_cofactor(M.submatrix(r, c)) for r, c in selectors]
+                assert enumerate_minors(M, t) == expected, (kind, t)
+            if m == n:
+                assert determinant(M) == det_cofactor(M)
+                adj = classical_adjoint(M)
+                for i in range(n):
+                    for j in range(n):
+                        rest = [k for k in range(n) if k != j], [k for k in range(n) if k != i]
+                        cof = det_cofactor(M.submatrix(*rest))
+                        assert adj.entry(i, j) == (-cof if (i + j) % 2 else cof)
+
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    def test_pfaffians_and_adjoint_match_the_laplace_expansion(self, any_field, order):
+        rng = random.Random(f"packed-pfaffians:{any_field}:{order.value}")
+        ring = PolyRing(("x", "y", "z"), field=any_field, order=order)
+        M = random_matrix(rng, ring, "alternating", 6)
+        assert max(e.degree() or 0 for row in M.rows for e in row) >= 2
+        for two_t in (2, 4, 6):
+            expected = [pf_laplace(M, idx) for idx in combinations(range(6), two_t)]
+            assert enumerate_pfaffians(M, two_t) == expected
+        assert pfaffian(M) == pf_laplace(M, tuple(range(6)))
+        adj = pfaffian_adjoint(M)
+        for i in range(6):
+            for j in range(i + 1, 6):
+                pf = pf_laplace(M, tuple(k for k in range(6) if k not in (i, j)))
+                assert adj.entry(i, j) == (pf if (i + j) % 2 == 0 else -pf)
+                assert adj.entry(j, i) == -adj.entry(i, j)
+
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    def test_exponent_bound_past_8_bits_widens_the_packing(self, order):
+        # Exponents up to e = 100 in the entries: the bound t*e = 300 asks
+        # for room for 600, and the determinant reaches 199, past the 127 of
+        # an 8-bit field.
+        ring = PolyRing(("x", "y", "z"), field=F32003, order=order)
+        x, y, z = ring.gens()
+        rows = [[x**100 + y, y**90 * z, z**3], [x * z**97, y**100, x**2 + z**5], [y**99, x**95 + z, z**100 + 1]]
+        M = PolyMatrix("ordinary", rows)
+        packed = packed_minors(M, 3)
+        assert packed.packing.width > 8 and packed.packing.max_exponent >= 2 * 300
+        assert enumerate_minors(M, 3) == [determinant(M)] == [det_cofactor(M)]
+        assert max(max(m) for m in determinant(M).terms) == 199
+        A = PolyMatrix("alternating", [[ring.zero(), x**120, y], [-(x**120), ring.zero(), z**127], [-y, -(z**127), ring.zero()]])
+        assert packed_pfaffians(A, 2).packing.width > 8
+        assert enumerate_pfaffians(A, 2) == [x**120, y, z**127]
+
+    def test_time_limit_bounds_a_lone_determinant_and_pfaffian(self):
+        with pytest.raises(ComputationTimeout, match="during polynomial arithmetic$"):
+            with time_limit(0.0):
+                determinant(generic_matrix(8, 8, "ordinary", field=F32003))
+        with pytest.raises(ComputationTimeout, match="during polynomial arithmetic$"):
+            with time_limit(0.0):
+                pfaffian(generic_matrix(8, 8, "alternating", field=F32003))
+        with pytest.raises(ComputationTimeout, match="during Pfaffian enumeration$"):
+            with time_limit(0.0):
+                enumerate_pfaffians(generic_matrix(6, 6, "alternating", field=F32003), 4)
