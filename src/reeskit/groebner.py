@@ -69,13 +69,19 @@ packed polynomial is the `max` of its keys, and its support is the guard
 bits of one sum (`MonomialPacking.support`).  So the check on the
 generators, made before any pair is formed, builds no exponent tuple.
 When it succeeds, the run returns the generators' leading terms, the one
-exponent tuple it unpacks per generator, and an ideal whose generators
-reach c costs its enumeration, the independence filter, one `max` and one
-mask per generator, and the recursion.  Only a
-run that goes on forms S-pairs.  Inhomogeneous generators may span the
-unit ideal, so their run has no ceiling test and completes.  Every height
-run skips the inter-reduction and returns only leading terms, since the
-leading terms of any Groebner basis generate in(I).
+exponent tuple it unpacks per generator.  The minors and Pfaffians of a
+matrix whose entries share one degree are homogeneous, since each term is
+a product of t entry terms, so `ideal_of_minors` and `ideal_of_pfaffians`
+tell the handle so and it reads no term for it.  Such an ideal whose
+generators reach c costs its enumeration, the independence filter, one
+`max` and one mask per generator, and the recursion, in either order.
+Other generators are checked term by term: under grevlex a polynomial's
+greatest and least keys hold its top and bottom degree, but under lex each
+term's degree is the sum of its unpacked exponents.  Only a run that goes
+on forms S-pairs.  Inhomogeneous generators may span the unit ideal, so
+their run has no ceiling test and completes.  Every height run skips the
+inter-reduction and returns only leading terms, since the leading terms
+of any Groebner basis generate in(I).
 
 An ideal of minors or Pfaffians is generated by those that are linearly
 independent, in selector order: the rest lie in their span and add nothing
@@ -102,7 +108,7 @@ from typing import Callable, Iterable, Sequence
 from .deadline import check_deadline, ideal_named, time_limit  # noqa: F401  (time_limit re-exported)
 from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatchError
 from .matrixalg import MatrixKind, PolyMatrix, packed_minors, packed_pfaffians
-from .matrixalg import enumerate_minors, enumerate_pfaffians  # noqa: F401  (perfbench's tracer test wraps these bindings)
+from .matrixalg import enumerate_minors  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .packed import PRODUCT_OVERFLOW, MonomialPacking, Packed, PackingOverflow  # noqa: F401  (MonomialPacking re-exported)
 from .poly import FieldSpec, Monomial, PolyRing, Polynomial, mon_div, mon_lcm
 
@@ -576,8 +582,10 @@ class IdealHandle:
     bound on the height of the ideal whenever it is proper, at which
     `height` may stop early when the generators are homogeneous;
     inhomogeneous generators take a full run with no ceiling test (see the
-    module docstring).  `name` (for example `minors(3)`) appears in timeout
-    messages.
+    module docstring).  `homogeneous=True` promises that every generator is
+    homogeneous, as the minors and Pfaffians of a matrix whose entries share
+    one degree are; otherwise `height` reads it from the terms.  `name`
+    (for example `minors(3)`) appears in timeout messages.
     """
 
     def __init__(
@@ -587,6 +595,7 @@ class IdealHandle:
         *,
         ceiling: int | None = None,
         name: str | None = None,
+        homogeneous: bool = False,
     ):
         if isinstance(generators, Packed):
             packed = generators
@@ -601,6 +610,7 @@ class IdealHandle:
         self.ring = ring = packed.ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
+        self._homogeneous = homogeneous
 
     @property
     def generators(self) -> tuple[Polynomial, ...]:
@@ -620,7 +630,7 @@ class IdealHandle:
         is the ceiling; the module docstring has the proof.  Otherwise the
         height comes from the leading terms of the run."""
         packing = self._packed.packing
-        homogeneous = all(map(packing.is_homogeneous, self._packed.polys))
+        homogeneous = self._homogeneous or all(map(packing.is_homogeneous, self._packed.polys))
         reached = False
 
         def at_ceiling(supports: list[int]) -> bool:
@@ -695,7 +705,8 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     name = f"minors({t})"
     with ideal_named(name):
         gens = _independent(packed_minors(M, t))
-    return IdealHandle(gens, ceiling=ceiling, name=name)
+    # Each term of a t x t minor is a product of t entry terms.
+    return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -712,7 +723,8 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
     with ideal_named(name):
         gens = _independent(packed_pfaffians(M, two_t))
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
-    return IdealHandle(gens, ceiling=ceiling, name=name)
+    # Each term of a 2t x 2t Pfaffian is a product of t entry terms.
+    return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:

@@ -121,8 +121,6 @@ class MonomialPacking:
 
     def unpack(self, x: int) -> Monomial:
         y = self._exponents(x)
-        if self.width == 8:  # a field is a byte; variable 0 is the low byte under grevlex
-            return tuple(y.to_bytes(self.nvars, "big" if self._top is None else "little"))
         field = self._field
         return tuple((y >> s) & field for s in self._shifts)
 

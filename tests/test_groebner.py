@@ -628,10 +628,10 @@ class TestHeightCeiling:
     def test_generic_5x6_minors_and_9x9_pfaffians_pack_only_the_entries(self, monkeypatch):
         # Building the ideals packs each entry term once and multiplies no
         # Polynomial; the height then packs nothing, reduces no S-pair, and
-        # unpacks only the generators' leading monomials.
-        M = generic_matrix(5, 6, "ordinary", field=F32003)
-        A = generic_matrix(9, 9, "alternating", field=F32003)
-        calls = {"pack": 0, "unpack": 0}
+        # unpacks only the generators' leading monomials.  Under lex too no
+        # term is unpacked to test homogeneity; there the Pfaffians' leading
+        # terms stay below the ceiling, so a symmetric 6x6 I_3 stands in.
+        calls = {}
         pack, unpack = MonomialPacking.pack, MonomialPacking.unpack
 
         def counting(name, original):
@@ -652,12 +652,34 @@ class TestHeightCeiling:
         monkeypatch.setattr(MonomialPacking, "fitting", classmethod(refuse("a Polynomial was packed")))
         monkeypatch.setattr(Polynomial, "__mul__", refuse("a Polynomial product was formed"))
         monkeypatch.setattr(groebner, "_spair", refuse("an S-pair was reduced"))
-        I = ideal_of_minors(M, 2)
-        P = ideal_of_pfaffians(A, 4)
-        assert calls == {"pack": 30 + 72, "unpack": 0}
-        assert (I.height(), P.height()) == (20, 21)
-        assert calls == {"pack": 30 + 72, "unpack": I.generator_count + P.generator_count}
-        assert (I.generator_count, P.generator_count) == (150, 126)
+        # (order, second ideal, entry terms packed, heights, generator counts)
+        cases = [
+            (MonomialOrder.GREVLEX, lambda order: ideal_of_pfaffians(generic_matrix(9, 9, "alternating", field=F32003, order=order), 4), 30 + 72, (20, 21), (150, 126)),
+            (MonomialOrder.LEX, lambda order: ideal_of_minors(generic_matrix(6, 6, "symmetric", field=F32003, order=order), 3), 30 + 36, (20, 10), (150, 175)),
+        ]
+        for order, second, entries, heights, counts in cases:
+            calls.update(pack=0, unpack=0)
+            I = ideal_of_minors(generic_matrix(5, 6, "ordinary", field=F32003, order=order), 2)
+            P = second(order)
+            assert calls == {"pack": entries, "unpack": 0}
+            assert (I.height(), P.height()) == heights
+            assert calls == {"pack": entries, "unpack": I.generator_count + P.generator_count}
+            assert (I.generator_count, P.generator_count) == counts
+
+    def test_a_common_entry_degree_promises_homogeneous_generators(self, any_field):
+        # ideal_of_minors and ideal_of_pfaffians promise homogeneity exactly
+        # when the entries share one degree, and the promise holds term by term.
+        rng = random.Random(f"homogeneous:{any_field}")
+        for trial in range(40):
+            ring = PolyRing(("a", "b", "c"), field=any_field, order=rng.choice(list(MonomialOrder)))
+            I = random_ideal(rng, ring)
+            packing = I._packed.packing
+            assert I._homogeneous or I.generator_count == 0  # a zero matrix has no entry degree
+            assert all(map(packing.is_homogeneous, I._packed.polys))
+        a, b, c = ring.gens()
+        mixed = ideal_of_minors(PolyMatrix("ordinary", [[a, b * b], [c, a]]), 2)
+        assert not mixed._homogeneous
+        assert mixed.height() == 1
 
     def test_repeated_column_stays_below_the_ceiling(self):
         # I_2 of a generic 5x6 matrix whose last column repeats the fifth
