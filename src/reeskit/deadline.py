@@ -7,8 +7,10 @@ the height ceiling check, the dimension search and, once per power k, the
 degree-bound evaluation) call `check_deadline` with the name of their
 stage, for example `polynomial arithmetic`, `Buchberger set-up` or
 `degree-bound evaluation`; past the deadline that raises ComputationTimeout
-naming the stage and, inside `ideal_named`, the ideal.  Both values are
-ContextVars, so threads and contexts do not share them.
+naming the stage and, inside `ideal_named`, the ideal.  Work on the linear
+section of an ideal (module `groebner`) is named after it, for example
+`Buchberger reduction of the linear section of minors(3)`.  Both values
+are ContextVars, so threads and contexts do not share them.
 """
 
 from __future__ import annotations

@@ -42,10 +42,10 @@ ideal is a flat degeneration over a polynomial ring.
 
 Heights stop early at a ceiling.  `IdealHandle.height` of an ideal I with
 homogeneous generators of positive degree runs Buchberger with a stop
-test: on the generators, and again at each sugar boundary where the
-leading-term set has grown, it asks whether the leading terms found so far
-reach the handle's ceiling c, and ends the run if they do.  The answer is
-then exactly c:
+test: on the generators, and again whenever a new leading monomial adds
+a minimal support, it asks whether the leading terms found so far reach
+the handle's ceiling c, and ends the run if they do.  The answer is then
+exactly c:
 
 * Every element found lies in I, so its leading term lies in in(I), and
   the monomial ideal J of the leading terms so far has ht J <= ht in(I)
@@ -62,6 +62,34 @@ then exactly c:
 * So c <= ht J <= ht I <= c.  When the run completes without reaching c,
   the height comes from the full leading-term ideal as above.
 
+ht J depends only on the minimal supports of the leading monomials, and a
+stopped run never drops an element, so the set of leading terms only
+grows and ht J with it.  A check made whenever a new leading monomial's
+support holds no support seen before is therefore made at every moment
+the answer can change: the run stops as soon as its leading terms reach c.
+
+The linear section.  When the generators' leading terms miss c and
+c < nvars, `height` first tries the linear section: the generators with
+the last nvars - c variables set to zero, whose echelon rows go through
+the same stopped run, in the same ring, with the same ceiling c.  If that
+run reaches c, then ht I = c.  Why, by Krull's height theorem: let L be
+the ideal of the cut variables and I' the ideal of the section, so that
+I + L = I' + L.  The generators of I' involve only the first c
+variables, so ht(I' + L) = ht I' + (nvars - c).  Take a minimal prime P
+of I with ht P = ht I.  P + L is proper, since it is homogeneous, and a
+minimal prime Q of it has ht(Q/P) <= nvars - c, Q/P being minimal over
+nvars - c elements of the domain S/P; a polynomial ring is catenary, so
+ht Q <= ht I + (nvars - c).  Hence ht I' + (nvars - c) = ht(I + L) <=
+ht Q <= ht I + (nvars - c), so ht I' <= ht I, and the run on the section
+shows c <= ht I' as above: c <= ht I' <= ht I <= c.  Cutting the last
+variables follows the hyperplane sections of Bayer and Stillman (1987):
+under grevlex a form either vanishes when its last variable is set to
+zero or keeps its leading monomial, since a term of the same degree with
+fewer factors of the last variable is greater; cutting the variables one
+at a time from the last, so does its section.  The proof needs no order,
+so lex takes the same route.  A section that misses c proves nothing,
+and the full run goes on.
+
 The check computes ht J by the same recursion as the dimension search
 and compares it with c.  It reads only the supports of the leading
 monomials, and reads them from the packed ints: the leading monomial of a
@@ -73,21 +101,31 @@ exponent tuple it unpacks per generator.  The minors and Pfaffians of a
 matrix whose entries share one degree are homogeneous, since each term is
 a product of t entry terms, so `ideal_of_minors` and `ideal_of_pfaffians`
 tell the handle so and it reads no term for it.  Such an ideal whose
-generators reach c costs its enumeration, the independence filter, one
-`max` and one mask per generator, and the recursion, in either order.
-Other generators are checked term by term: under grevlex a polynomial's
-greatest and least keys hold its top and bottom degree, but under lex each
-term's degree is the sum of its unpacked exponents.  Only a run that goes
-on forms S-pairs.  Inhomogeneous generators may span the unit ideal, so
-their run has no ceiling test and completes.  Every height run skips the
-inter-reduction and returns only leading terms, since the leading terms
-of any Groebner basis generate in(I).
+generators reach c costs its enumeration, one `max` per generator to see
+that the leading monomials are distinct, one mask per generator, and the
+recursion, in either order.  Other generators are checked term by term:
+under grevlex a polynomial's greatest and least keys hold its top and
+bottom degree, but under lex each term's degree is the sum of its
+unpacked exponents.  Only a run that goes on forms S-pairs.
+Inhomogeneous generators may span the unit ideal, so their run has no
+ceiling test and completes.  Every height run skips the inter-reduction
+and returns only leading terms, since the leading terms of any Groebner
+basis generate in(I).
 
-An ideal of minors or Pfaffians is generated by those that are linearly
-independent, in selector order: the rest lie in their span and add nothing
-to the ideal.  `_independent` is the one generator filter; it drops
-repeats and scalar multiples with the rest, keying its pivots on packed
-ints, and Buchberger takes any other generators as given.
+Generators.  An `IdealHandle` keeps a basis of the span of its
+generators, which generates the same ideal.  Polynomials with distinct
+leading monomials are one already.  Otherwise `_independent` turns them
+into echelon rows, with distinct leading monomials; each leading monomial
+of a row is that of an element of I, so the ceiling check may read them,
+and they are at least as many as the generators' distinct ones.  The rank
+argument saves that elimination when the section is defined: setting
+variables to zero is a linear map, which does not raise rank, so if the
+section's echelon rows are as many as the generators, the generators are
+linearly independent and are kept as they are; their count is the same
+either way.  A run that goes on starts from the reduced echelon basis of
+its generators' span (`_echelon`, then `_cleared`): each row monic and
+free of the other rows' leading monomials.  Only that run pays for the
+clearing.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit` (module `deadline`, which lists the
@@ -103,7 +141,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .deadline import check_deadline, ideal_named, time_limit  # noqa: F401  (time_limit re-exported)
 from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatchError
@@ -257,17 +295,19 @@ def buchberger(
     an `IdealHandle` holds them), which the run takes as they are.
     Deterministic: sugar-degree selection with lcm/index tie-breaks, and the
     reduced basis is unique for (ideal, order) anyway.  Returns generators
-    sorted by descending leading monomial.  Repeated generators need no
-    filter: their S-pairs reduce to zero.
+    sorted by descending leading monomial.  The run starts from the reduced
+    echelon basis of the generators' span, so repeats and other linearly
+    dependent generators drop out there.
 
     With `stop`, the run skips the inter-reduction and returns only the
     leading terms of the elements it found, made monic, sorted the same
     way: they generate a monomial ideal inside the leading-term ideal, all
     of it when the run completes.  `stop` is called with the supports of
     their leading monomials (bitmasks, one bit per variable, read from the
-    packed ints): on the generators, and again before the first pair of
-    each higher sugar when the list has grown since the last call.  When it
-    returns True the run ends.  The unit ideal still gives the basis (1,).
+    packed ints): on the generators, and again whenever a new leading
+    monomial, of an echelon row or of an element found, has a support that
+    holds none of those seen before.  When it returns True the run ends.
+    The unit ideal still gives the basis (1,).
     """
     if not isinstance(gens, Packed):
         gens = [g for g in gens if not g.is_zero]
@@ -324,16 +364,34 @@ def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
     def degree(poly: dict) -> int:
         return max(map(packing.degree, poly))
 
+    # The minimal supports of the leading monomials, as `stop` last saw them.
+    minimal = [] if stop is None else _minimal_supports(packing.support(max(p)) for p in packed.polys)
+
+    def adds_support(lead: int) -> bool:
+        """Does the leading monomial add a minimal support?  Records it."""
+        s = packing.support(lead)
+        if any(t & s == t for t in minimal):
+            return False
+        minimal[:] = [t for t in minimal if t & s != s]
+        minimal.append(s)
+        return True
+
+    def stopped() -> bool:
+        return stop([packing.support(r[0] + packing.offset) for r in reducers])
+
     stage = "Buchberger set-up"
-    polys = []
-    for count, g in enumerate(packed.polys, 1):
-        if count % _DEADLINE_EVERY_GENERATORS == 0:
-            check_deadline(stage)
-        polys.append(_monic(g, field))
-    for count, poly in enumerate(sorted(polys, key=max), 1):
+    polys = _cleared(_echelon(packed.polys, field, stage, _DEADLINE_EVERY_GENERATORS), field, stage)
+    if max(polys[0]) == packing.offset:  # the span holds a constant
+        return None
+    for count, poly in enumerate(polys, 1):
         if count % _DEADLINE_EVERY_GENERATORS == 0:
             check_deadline(stage)
         add_poly(poly, degree(poly))
+    if stop is not None:
+        # Echelon rows can have leading monomials that no generator had.
+        grown = [adds_support(max(p)) for p in polys]
+        if any(grown) and stopped():
+            return _leads(reducers, lms)
 
     stage = "Buchberger reduction"
     heap: list = []
@@ -346,21 +404,12 @@ def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
             sugar = max(sugars[i] + deg - degs[i], sugars[j] + deg - degs[j])
             heappush(heap, (sugar, packing.pack(lcm), i, j))
 
-    # `checked` reducers had been added when `stop` last ran, or the
-    # generators before its first call; `level` is the sugar of the last
-    # pair taken.
-    checked, level = len(reducers), 0
     for j in range(len(reducers)):
         push_pairs(j)
 
     while heap:
         check_deadline(stage)
-        if stop is not None and heap[0][0] > level and len(reducers) > checked:
-            checked = len(reducers)
-            if stop([packing.support(r[0] + packing.offset) for r in reducers]):
-                break
         sugar, lcm, i, j = heappop(heap)
-        level = sugar
         done[j][i] = 1
         # Coprime leading terms: the S-polynomial reduces to zero.
         if packing.degree(lcm) == degs[i] + degs[j]:
@@ -383,11 +432,19 @@ def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
         h_degree = degree(h)
         if h_degree == 0:
             return None
-        add_poly(_monic(h, field), max(sugar, h_degree))
+        h = _monic(h, field)
+        add_poly(h, max(sugar, h_degree))
+        if stop is not None and adds_support(max(h)) and stopped():
+            break
         push_pairs(len(reducers) - 1)
 
     if stop is None:
         return _inter_reduce(reducers, field, packing)
+    return _leads(reducers, lms)
+
+
+def _leads(reducers: list[tuple], lms: list[Monomial]) -> list[Monomial]:
+    """The leading monomials, descending."""
     return [lms[i] for i in sorted(range(len(reducers)), key=lambda i: reducers[i][0], reverse=True)]
 
 
@@ -576,10 +633,13 @@ class IdealHandle:
     """An ideal of a polynomial ring, answering its height.
 
     The generators are `Polynomial`s, packed once here, or already packed
-    (`Packed`, as `ideal_of_minors` and `ideal_of_pfaffians` build them);
-    zero generators are dropped.  The ring is the generators' ring; the
-    zero ideal names it with `ring`.  `ceiling`, when given, is an upper
-    bound on the height of the ideal whenever it is proper, at which
+    (`Packed`, as `ideal_of_minors` and `ideal_of_pfaffians` build them).
+    The handle keeps a basis of their span: the nonzero generators
+    themselves when their leading monomials are distinct or their linear
+    section shows them linearly independent, echelon rows (`_independent`)
+    otherwise (module docstring).  The ring is the generators' ring;
+    the zero ideal names it with `ring`.  `ceiling`, when given, is an
+    upper bound on the height of the ideal whenever it is proper, at which
     `height` may stop early when the generators are homogeneous;
     inhomogeneous generators take a full run with no ceiling test (see the
     module docstring).  `homogeneous=True` promises that every generator is
@@ -606,48 +666,100 @@ class IdealHandle:
             packed = Packed.of(_ring_of(gens) if gens else ring, gens)
         if ring is not None and ring != packed.ring:
             raise RingMismatchError("the generators live in a different ring from the one given")
-        self._packed = packed._replace(polys=[p for p in packed.polys if p])
         self.ring = ring = packed.ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
         self._homogeneous = homogeneous
+        self._packed = packed._replace(polys=[p for p in packed.polys if p])
+        # The echelon rows of the linear section, once made.
+        self._section: list[dict] | None = None
+        with ideal_named(name):
+            self._packed = self._basis()
+
+    def _basis(self) -> Packed:
+        """A basis of the generators' span: they are one already when their
+        leading monomials are distinct, or when their linear section has as
+        many echelon rows as there are generators; echelon rows otherwise."""
+        polys = self._packed.polys
+        if len(set(map(max, polys))) == len(polys):
+            return self._packed
+        if self.ceiling < self.ring.nvars:
+            rows = _echelon(self._section_polys(), self.ring.field, "independence filter", independent=True)
+            if rows is not None:
+                self._section = rows
+                return self._packed
+        return _independent(self._packed)
 
     @property
     def generators(self) -> tuple[Polynomial, ...]:
-        """The nonzero generators, as `Polynomial`s made on each access."""
-        return tuple(self._packed.polynomials())
+        """An echelon basis of the span of the generators, as `Polynomial`s
+        made on each access."""
+        packed = self._packed
+        return tuple(map(packed.polynomial, _echelon(packed.polys, packed.ring.field, "independence filter")))
 
     @property
     def generator_count(self) -> int:
+        """The dimension of the generators' span."""
         return len(self._packed.polys)
 
     def height(self):
         """Extended height: +inf for the unit ideal, 0 for the zero ideal.
 
-        One Buchberger run on the packed generators, without inter-reduction.
-        With homogeneous generators it stops once the leading terms reach
-        the ceiling, on the generators themselves or later, and the height
-        is the ceiling; the module docstring has the proof.  Otherwise the
-        height comes from the leading terms of the run."""
-        packing = self._packed.packing
-        homogeneous = self._homogeneous or all(map(packing.is_homogeneous, self._packed.polys))
+        One Buchberger run on the packed generators, without inter-reduction,
+        and when they miss the ceiling, one on their linear section inside
+        it.  With homogeneous generators it stops once the leading terms reach
+        the ceiling, on the generators themselves, in the linear section, or
+        later, and the height is the ceiling; the module docstring has the
+        proofs.  Otherwise the height comes from the leading terms of the
+        run."""
+        packed, ceiling, nvars = self._packed, self.ceiling, self.ring.nvars
+        homogeneous = self._homogeneous or all(map(packed.packing.is_homogeneous, packed.polys))
+        # The linear section is tried once, when the generators miss the ceiling.
+        section = homogeneous and ceiling < nvars
         reached = False
 
         def at_ceiling(supports: list[int]) -> bool:
-            nonlocal reached
-            reached = homogeneous and _reaches(supports, self.ceiling)
+            nonlocal reached, section
+            reached = homogeneous and _reaches(supports, ceiling)
+            if not reached and section:
+                section = False
+                reached = self._section_reaches()
             return reached
 
-        nvars = self.ring.nvars
         with ideal_named(self.name):
-            basis = buchberger(self._packed, stop=at_ceiling)
+            basis = buchberger(packed, stop=at_ceiling)
             if not basis:
                 return 0
             if basis[0].degree() == 0:
                 return math.inf
             if reached:
-                return self.ceiling
+                return ceiling
             return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
+
+    def _section_polys(self) -> Iterator[dict]:
+        """The linear section: the generators with their last nvars - c
+        variables set to zero, c the ceiling, made one at a time."""
+        ring, packing, polys = self._packed
+        cut = packing.variables(range(self.ceiling, ring.nvars))
+        support = packing.support
+        return ({m: c for m, c in p.items() if not support(m) & cut} for p in polys)
+
+    def _section_reaches(self) -> bool:
+        """Does the stopped Buchberger run on the linear section reach the
+        ceiling?  Then so does the height (module docstring)."""
+        ceiling = self.ceiling
+        reached = False
+
+        def at_ceiling(supports: list[int]) -> bool:
+            nonlocal reached
+            reached = _reaches(supports, ceiling)
+            return reached
+
+        with ideal_named("the linear section" if self.name is None else f"the linear section of {self.name}"):
+            if self._section is None:
+                self._section = _echelon(filter(None, self._section_polys()), self.ring.field, "independence filter")
+            buchberger(self._packed._replace(polys=self._section), stop=at_ceiling)
+        return reached
 
     def __repr__(self) -> str:
         return f"IdealHandle({self.generator_count} generators over {self.ring})"
@@ -657,31 +769,48 @@ class IdealHandle:
 
 
 def _independent(packed: Packed) -> Packed:
-    """The polynomials outside the span of those before them, in order.
+    """An echelon basis of the span of the polynomials: one row for each
+    polynomial outside the span of those before it, in order, with
+    distinct leading monomials.
 
-    Exact elimination over the ring's field: each kept polynomial is stored
-    as a row keyed by its largest packed monomial (any fixed total order on
-    monomials serves), and a later one is dropped when clearing those
-    pivots from it leaves zero.  Each step cancels the row's largest
-    monomial and adds only smaller ones, so the reduction terminates.  A
-    polynomial is kept exactly when it lies outside the span of the kept
-    rows, which span what the polynomials before it span, so the order
-    chosen changes no outcome.
+    Exact elimination over the ring's field (`_echelon`): each row is keyed
+    by its largest packed monomial, its leading monomial, and a later
+    polynomial has the rows' multiples subtracted that clear its leading
+    monomial, until that monomial is new (the polynomial's row) or nothing
+    is left (it is dropped).  Each step cancels the row's largest monomial
+    and adds only smaller ones, so the reduction terminates.  A polynomial
+    is dropped exactly when it lies in the span of the rows, which span
+    what the polynomials before it span, so there is one row per
+    polynomial outside the span of those before it.
+    Tails are not cleared of the other rows' leading monomials here; a run
+    that goes on does that (`_cleared`).
     """
-    field = packed.ring.field
+    return packed._replace(polys=_echelon(packed.polys, packed.ring.field, "independence filter"))
+
+
+def _echelon(
+    polys: Iterable[dict], field: FieldSpec, stage: str, every: int = 1, independent: bool = False
+) -> list[dict] | None:
+    """Echelon rows of the span, in order: each polynomial minus the
+    multiples of the rows before it that clear its leading monomial, until
+    that monomial is new; one that clears to zero is dropped, or with
+    `independent` ends the elimination with None, since the polynomials are
+    then not linearly independent.  Reads the clock at every `every`-th
+    polynomial."""
     inverse, mod = field.inverse, field.modulus
     pivots: dict[int, dict] = {}
-    kept = []
-    for p in packed.polys:
-        check_deadline("independence filter")
-        row = dict(p)
+    for count, p in enumerate(polys, 1):
+        if count % every == 0:
+            check_deadline(stage)
+        row = p
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
                 pivots[lead] = row
-                kept.append(p)
                 break
+            if row is p:
+                row = dict(p)
             factor = row[lead] * inverse(pivot[lead]) % mod
             for m, c in pivot.items():
                 s = (row.get(m, 0) - factor * c) % mod
@@ -689,7 +818,41 @@ def _independent(packed: Packed) -> Packed:
                     row.pop(m, None)
                 else:
                     row[m] = s
-    return packed._replace(polys=kept)
+        else:
+            if independent:
+                return None
+    return list(pivots.values())
+
+
+def _cleared(rows: list[dict], field: FieldSpec, stage: str) -> list[dict]:
+    """The reduced echelon basis of rows with distinct leading monomials:
+    each made monic and cleared of the others' leading monomials, in
+    ascending order of leading monomial.
+
+    Rows are cleared in that order, so a row's tail holds only leading
+    monomials of rows already cleared, and subtracting one of those brings
+    in none: its own tail is below its leading monomial and already clear."""
+    mod = field.modulus
+    pivots: dict[int, dict] = {}
+    for count, row in enumerate(sorted(rows, key=max), 1):
+        if count % _DEADLINE_EVERY_GENERATORS == 0:
+            check_deadline(stage)
+        lead = max(row)
+        row = _monic(row, field)
+        hits = [m for m in row if m in pivots]
+        if hits:
+            row = dict(row)
+            for m in hits:
+                factor = row.pop(m)
+                for t, c in pivots[m].items():
+                    if t != m:
+                        s = (row.get(t, 0) - factor * c) % mod
+                        if s == 0:
+                            row.pop(t, None)
+                        else:
+                            row[t] = s
+        pivots[lead] = row
+    return list(pivots.values())
 
 
 def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
@@ -704,7 +867,7 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
     name = f"minors({t})"
     with ideal_named(name):
-        gens = _independent(packed_minors(M, t))
+        gens = packed_minors(M, t)
     # Each term of a t x t minor is a product of t entry terms.
     return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)
 
@@ -721,7 +884,7 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         return IdealHandle((), ring=M.ring)
     name = f"pfaffians({two_t})"
     with ideal_named(name):
-        gens = _independent(packed_pfaffians(M, two_t))
+        gens = packed_pfaffians(M, two_t)
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
     # Each term of a 2t x 2t Pfaffian is a product of t entry terms.
     return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)

@@ -138,6 +138,10 @@ class MonomialPacking:
         """The variables of x as guard bits (see the module docstring)."""
         return (self._exponents(x) + self._spread) & self.guard
 
+    def variables(self, indices: Iterable[int]) -> int:
+        """The guard bits that `support` sets for the variables at `indices`."""
+        return sum(1 << (self._shifts[i] + self.width - 1) for i in indices)
+
     def mul(self, a: int, b: int) -> int:
         """The packed product; raises PackingOverflow past the width."""
         r = a + b - self.offset

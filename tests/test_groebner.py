@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import reeskit.cli as cli
+import reeskit.deadline as deadline
 import reeskit.groebner as groebner
 from reeskit.deadline import ideal_named
 from reeskit.errors import ComputationTimeout, DomainError, RingMismatchError
@@ -28,7 +29,7 @@ from reeskit.gs import ProblemInstance, min_gens_generic
 from reeskit.matrixalg import MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, packed_minors, packed_pfaffians
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
-from conftest import brute_force_dimension, random_coeff, random_poly
+from conftest import FIELDS, brute_force_dimension, random_coeff, random_poly
 
 F32003 = FieldSpec.prime(32003)
 
@@ -556,6 +557,42 @@ def random_ideal(rng: random.Random, ring: PolyRing) -> IdealHandle:
     return ideal_of_minors(M, rng.randint(1, min(m, n, 3)))
 
 
+def spy_on_routes(monkeypatch) -> list:
+    """Record the ceiling checks of each height: the caller appends a list
+    per ideal, which receives (inside the linear section?, outcome) per check."""
+    reaches, section_reaches = groebner._reaches, IdealHandle._section_reaches
+    routes: list = []
+    in_section = []
+
+    def spy(supports, ceiling):
+        routes[-1].append((bool(in_section), reaches(supports, ceiling)))
+        return routes[-1][-1][1]
+
+    def section_spy(self):
+        in_section.append(True)
+        try:
+            return section_reaches(self)
+        finally:
+            in_section.pop()
+
+    monkeypatch.setattr(groebner, "_reaches", spy)
+    monkeypatch.setattr(IdealHandle, "_section_reaches", section_spy)
+    return routes
+
+
+def route_taken(checks: list) -> str:
+    """Which route decided a height, from its recorded ceiling checks."""
+    if not checks:
+        return "no check"
+    if checks[:1] == [(False, True)]:
+        return "generators"
+    if (True, True) in checks:
+        return "section"
+    if checks and checks[-1] == (False, True):
+        return "later"
+    return "full run"
+
+
 class TestHeightCeiling:
     """The early exit of `IdealHandle.height` at the height ceiling."""
 
@@ -570,26 +607,19 @@ class TestHeightCeiling:
         ids=["gf32003", "gf2", "qq", "lex"],
     )
     def test_early_height_equals_the_full_run(self, field, order, monkeypatch):
-        import reeskit.groebner as groebner
-
-        reaches = groebner._reaches
-        checks = []  # per ideal, the outcomes of its ceiling checks
-
-        def spy(monomials, ceiling):
-            checks[-1].append(reaches(monomials, ceiling))
-            return checks[-1][-1]
-
-        monkeypatch.setattr(groebner, "_reaches", spy)
+        routes = spy_on_routes(monkeypatch)
         rng = random.Random(f"ceiling:{field}:{order.value}")
-        for _ in range(60):
-            ring = PolyRing(tuple(f"v{i}" for i in range(rng.randint(2, 5))), field=field, order=order)
-            I = random_ideal(rng, ring)
-            checks.append([])
+        for trial in range(80):
+            if trial % 4 == 3:  # a linear matrix, whose ideal the section often settles
+                I = ideal_of(*random_linear_matrix(rng, field, order, trial // 4))
+            else:
+                ring = PolyRing(tuple(f"v{i}" for i in range(rng.randint(2, 5))), field=field, order=order)
+                I = random_ideal(rng, ring)
+            routes.append([])
             assert I.height() == full_run_height(I), I.generators
-        # Runs stop on their generators, at a later sugar boundary, or not at all.
-        assert [True] in checks
-        assert any(c[:1] == [False] and c[-1] for c in checks)
-        assert any(c and True not in c for c in checks)
+        # Runs stop on their generators, in the linear section, later in the
+        # run, or not at all.
+        assert {route_taken(checks) for checks in routes} >= {"generators", "section", "later", "full run"}
 
     @pytest.mark.parametrize("m,n,ceiling", [(5, 8, 18), (6, 7, 20)])
     def test_generators_reach_large_ceilings_quickly(self, m, n, ceiling):
@@ -690,10 +720,10 @@ class TestHeightCeiling:
         assert (I.ceiling, I.height()) == (20, 16)
 
     def test_groebner_basis_after_an_early_height_is_reduced(self):
-        # I_2 is the square of the maximal ideal (a, b, c).  The leading
-        # terms of its six minors have height 2, so the run goes on and
-        # stops at a later sugar boundary with nine elements, not
-        # inter-reduced.  A basis asked for afterwards is the reduced one.
+        # I_2 is the square of the maximal ideal (a, b, c).  Its six minors
+        # span every quadric, so the leading terms of their echelon rows
+        # reach the ceiling and the height run stops on them, with no basis
+        # computed.  A basis asked for afterwards is the reduced one.
         ring = PolyRing(("a", "b", "c"), field=F32003)
         a, b, c = ring.gens()
         I = ideal_of_minors(PolyMatrix("ordinary", [[a, b, c, a + b], [b, c, a + c, a]]), 2)
@@ -703,18 +733,30 @@ class TestHeightCeiling:
         assert_is_reduced_groebner_basis(basis, I.generators)
         assert I.height() == 3
 
-    def test_stop_is_called_on_the_generators_and_at_sugar_boundaries(self, fp_xyz):
+    def test_stop_is_called_whenever_a_leading_monomial_adds_a_minimal_support(self, fp_xyz):
         x, y, z = fp_xyz.gens()
         gens = [x * y - z * z, x * x - y * z]
         calls = []
 
-        def never(lms):
-            calls.append(len(lms))
+        def never(supports):
+            calls.append(set(supports))
             return False
 
         basis = buchberger(gens, stop=never)
-        # The generators, then each higher sugar once new elements appeared.
-        assert calls[0] == 2 and calls == sorted(set(calls))
+        packing = MonomialPacking.fitting(fp_xyz, gens)  # the run's packing
+
+        def support(m):
+            return packing.support(packing.pack(m))
+
+        # The generators' supports {x, y} and {x} first; each later call
+        # brings a support that holds none of those seen before.
+        assert calls[0] == {support((1, 1, 0)), support((2, 0, 0))} and len(calls) >= 2
+        for before, after in zip(calls, calls[1:]):
+            assert before < after
+            assert any(not any(t & s == t for t in before) for s in after - before)
+        # No element found after the last call changed the minimal supports.
+        found = [support(g.leading_monomial()) for g in basis]
+        assert set(groebner._minimal_supports(found)) == set(groebner._minimal_supports(calls[-1]))
         assert {g.leading_monomial() for g in buchberger(gens)} <= {g.leading_monomial() for g in basis}
         # Stopped at once, the run returns the generators' leading terms, made monic.
         assert set(buchberger(gens, stop=lambda supports: True)) == {fp_xyz.term(1, g.leading_monomial()) for g in gens}
@@ -729,6 +771,124 @@ class TestHeightCeiling:
         ring = PolyRing(("a", "b"), field=F32003)
         a, b = ring.gens()
         assert ideal_of_minors(PolyMatrix("ordinary", [[a, b, a + b]] * 3), 1).ceiling == 2
+
+
+def linear_matrix(rng: random.Random, ring: PolyRing, kind: str, m: int, n: int) -> PolyMatrix:
+    """A matrix of the kind whose free entries are random linear forms,
+    each variable present with probability 0.7."""
+
+    def form():
+        terms = {}
+        for i in range(ring.nvars):
+            if rng.random() < 0.7:
+                terms[tuple(int(j == i) for j in range(ring.nvars))] = random_coeff(rng, ring.field)
+        return Polynomial(ring, terms)
+
+    upper = {(i, j): form() for i in range(m) for j in range(n) if kind == "ordinary" or i <= j}
+    if kind == "ordinary":
+        rows = [[upper[i, j] for j in range(n)] for i in range(m)]
+    elif kind == "symmetric":
+        rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        zero = ring.zero()
+        rows = [[upper[i, j] if i < j else (-upper[j, i] if i > j else zero) for j in range(n)] for i in range(n)]
+    return PolyMatrix(kind, rows)
+
+
+# (kind, m, n, minor size or Pfaffian size 2t), each with a ceiling c of 2 to 4.
+SECTION_SHAPES = [
+    ("ordinary", 2, 4, 2),
+    ("ordinary", 3, 3, 2),
+    ("ordinary", 3, 4, 3),
+    ("symmetric", 3, 3, 2),
+    ("symmetric", 4, 4, 3),
+    ("alternating", 5, 5, 4),
+]
+
+
+def random_linear_matrix(rng: random.Random, field: FieldSpec, order: MonomialOrder, index: int) -> tuple:
+    """A random linear matrix of shape SECTION_SHAPES[index % 6] in c + 1 or
+    c + 2 variables, c its ceiling, and its minor or Pfaffian size."""
+    kind, m, n, size = SECTION_SHAPES[index % len(SECTION_SHAPES)]
+    nvars = expected_generic_height(kind, m, n, size) + rng.randint(1, 2)
+    ring = PolyRing(tuple(f"v{i}" for i in range(nvars)), field=field, order=order)
+    return linear_matrix(rng, ring, kind, m, n), size
+
+
+def ideal_of(M: PolyMatrix, size: int) -> IdealHandle:
+    """The ideal of size x size minors, or of size x size Pfaffians of an alternating M."""
+    return (ideal_of_pfaffians if M.kind is MatrixKind.ALTERNATING else ideal_of_minors)(M, size)
+
+
+class TestLinearSection:
+    """The linear-section route of `IdealHandle.height` and the generator
+    count it certifies, against the full run and the full filter."""
+
+    @pytest.mark.parametrize(
+        "field,order",
+        [(field, MonomialOrder.GREVLEX) for field in FIELDS.values()] + [(F32003, MonomialOrder.LEX)],
+        ids=[*FIELDS, "lex"],
+    )
+    def test_section_height_equals_the_full_run(self, field, order, monkeypatch):
+        filters = []
+        independent = groebner._independent
+        monkeypatch.setattr(groebner, "_independent", lambda packed: filters.append(packed) or independent(packed))
+        routes = spy_on_routes(monkeypatch)
+        rng = random.Random(f"section:{field}:{order.value}")
+        certified = 0
+        for trial in range(24):
+            M, size = random_linear_matrix(rng, field, order, trial)
+            packed = (packed_pfaffians if M.kind is MatrixKind.ALTERNATING else packed_minors)(M, size)
+            polys = [p for p in packed.polys if p]
+            filtered = len(filters)
+            routes.append([])
+            I = ideal_of(M, size)
+            assert I.ceiling < M.ring.nvars
+            # The count is the full filter's, whether or not the section certified it.
+            assert I.generator_count == len(independent_by_tuples(packed.polynomials(), M.ring))
+            if len(filters) == filtered and len(set(map(max, polys))) < len(polys):
+                certified += 1
+            assert I.height() == full_run_height(I), (M, size, I.generators)
+        assert "section" in {route_taken(checks) for checks in routes}
+        assert certified > 0
+
+    def test_a_repeated_column_falls_back_to_the_full_run(self, monkeypatch):
+        # I_2 of a linear 3x4 matrix whose last column repeats the third is
+        # I_2 of a linear 3x3 matrix: height 4 in 7 variables, below the
+        # ceiling 6, so neither the generators nor the section reach it.
+        routes = spy_on_routes(monkeypatch)
+        ring = PolyRing(tuple(f"v{i}" for i in range(7)), field=F32003)
+        M = linear_matrix(random.Random("repeated column"), ring, "ordinary", 3, 3)
+        rows = [[M.entry(i, min(j, 2)) for j in range(4)] for i in range(3)]
+        I = ideal_of_minors(PolyMatrix("ordinary", rows), 2)
+        routes.append([])
+        assert (I.ceiling, I.height()) == (6, 4) == (6, full_run_height(I))
+        checks = routes[-1]
+        assert (True, False) in checks and True not in (outcome for _, outcome in checks)
+        assert route_taken(checks) == "full run"
+
+    def test_a_timeout_in_the_section_names_it(self, monkeypatch):
+        # The probe of the benchmark: linear 4x5 in 10 variables, whose
+        # minors(3) reach their ceiling 6 only in the section.
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5)
+        I = ideal_of_minors(M, 3)
+        section_reaches = IdealHandle._section_reaches
+
+        def expiring(self):
+            with time_limit(0.0):
+                return section_reaches(self)
+
+        monkeypatch.setattr(IdealHandle, "_section_reaches", expiring)
+        with pytest.raises(ComputationTimeout, match=r"during height ceiling check of the linear section of minors\(3\)$"):
+            I.height()
+        monkeypatch.undo()
+        # Without a limit, every stage of the section reads the clock under its name.
+        reads = []
+        monkeypatch.setattr(groebner, "check_deadline", lambda stage: reads.append((stage, deadline._ideal_name.get())))
+        assert I.height() == 6
+        assert ("Buchberger reduction", "the linear section of minors(3)") in reads
+        assert {name for _, name in reads} == {"minors(3)", "the linear section of minors(3)"}
 
 
 def random_generators(rng: random.Random, ring: PolyRing) -> list:
@@ -1038,13 +1198,16 @@ def calls_ideals():
 
 class TestIndependenceFilter:
     def test_packed_pivots_keep_what_tuple_pivots_kept(self):
-        # The kept generators (count and order) do not depend on the order
-        # the pivots are keyed by.
+        # The echelon rows number the generators the tuple-keyed filter
+        # keeps, span what they span, and have distinct leading monomials.
         dropped = 0
         for label, packed in calls_ideals():
             polys = packed.polynomials()
-            kept = groebner._independent(packed).polynomials()
-            assert kept == independent_by_tuples(polys, packed.ring), label
+            rows = groebner._independent(packed).polynomials()
+            kept = independent_by_tuples(polys, packed.ring)
+            assert len(rows) == len(kept), label
+            assert len(independent_by_tuples(kept + rows, packed.ring)) == len(kept), label
+            assert len({r.leading_monomial() for r in rows}) == len(rows), label
             dropped += len(polys) - len(kept)
         assert dropped >= 700
 
