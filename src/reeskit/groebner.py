@@ -671,7 +671,7 @@ class IdealHandle:
         self.name = name
         self._homogeneous = homogeneous
         self._packed = packed._replace(polys=[p for p in packed.polys if p])
-        # The echelon rows of the linear section, once made.
+        # The echelon rows of the linear section, when `_basis` made them.
         self._section: list[dict] | None = None
         with ideal_named(name):
             self._packed = self._basis()
@@ -756,9 +756,10 @@ class IdealHandle:
             return reached
 
         with ideal_named("the linear section" if self.name is None else f"the linear section of {self.name}"):
-            if self._section is None:
-                self._section = _echelon(filter(None, self._section_polys()), self.ring.field, "independence filter")
-            buchberger(self._packed._replace(polys=self._section), stop=at_ceiling)
+            rows = self._section
+            if rows is None:
+                rows = _echelon(filter(None, self._section_polys()), self.ring.field, "independence filter")
+            buchberger(self._packed._replace(polys=rows), stop=at_ceiling)
         return reached
 
     def __repr__(self) -> str:
