@@ -9,8 +9,12 @@ stage, for example `polynomial arithmetic`, `Buchberger set-up` or
 `degree-bound evaluation`; past the deadline that raises ComputationTimeout
 naming the stage and, inside `ideal_named`, the ideal.  Work on the linear
 section of an ideal (module `groebner`) is named after it, for example
-`Buchberger reduction of the linear section of minors(3)`.  Both values
-are ContextVars, so threads and contexts do not share them.
+`Buchberger reduction of the linear section of minors(3)`, and so is the
+expansion of a cut matrix: `minor enumeration of the linear section of
+minors(3)` or `Pfaffian enumeration of the linear section of
+pfaffians(4)`.  A height that the section of a cut matrix decides reads
+the clock only under the section's name.  Both values are ContextVars,
+so threads and contexts do not share them.
 """
 
 from __future__ import annotations

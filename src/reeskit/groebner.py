@@ -15,8 +15,8 @@ test each product they form by the guard rule and raise PackingOverflow,
 and the entry points restart with the inputs re-packed at twice the width.
 `buchberger` and `normal_form` pack `Polynomial` inputs once on entry and
 unpack results once on exit.  An ideal of minors or Pfaffians is packed
-once, at the matrix (`matrixalg.packed_minors`), and `IdealHandle` hands
-those packed generators to `buchberger` as they are.
+once, at the matrix (`matrixalg.MatrixGenerators`), and `IdealHandle`
+hands those packed generators to `buchberger` as they are.
 
 Reduction keeps the pending terms in a max-heap of negated ints with lazy
 deletion: a term that cancels leaves its heap entry behind, and an entry
@@ -90,6 +90,30 @@ at a time from the last, so does its section.  The proof needs no order,
 so lex takes the same route.  A section that misses c proves nothing,
 and the full run goes on.
 
+The section at the matrix.  Evaluation at zero is a ring map, so it
+commutes with determinants and Pfaffians: the section of an ideal of
+minors or Pfaffians is the ideal of the minors or Pfaffians of the cut
+matrix, whose entries are the matrix's with their cut terms dropped, and
+each section row is the full minor or Pfaffian of the same selector with
+its cut terms dropped (`MatrixGenerators.cut`).  The cut entries have
+fewer terms, so the section costs less to expand than the full minors,
+and a certified count (see Generators) needs no full minor.  Which goes
+first is read from the input alone, by the entry rule.  When the entries
+share a degree, c < nvars and the cut zeroes no nonzero entry, the
+handle expands the cut matrix first.  If its rows are nonzero and
+linearly independent, the count is the number of selectors and no full
+minor is made at construction; `height` then runs the section first,
+returns c if it reaches c, and otherwise expands the full minors and goes
+on by the routes below (the generators, later in the run, the full run),
+without trying the section again.  Otherwise, and always when the cut
+zeroes a nonzero entry, the full minors are expanded at construction and
+the routes run in the order above: the generators' ceiling test, then
+the section, cut from the generators by the same routine
+(`MonomialPacking.cut`).  Each cut variable of a generic matrix is an
+entry, whose generators often reach c on their own, so a generic matrix
+pays one mask test per entry term for the rule and nothing more.  Both
+orders are exact.
+
 The check computes ht J by the same recursion as the dimension search
 and compares it with c.  It reads only the supports of the leading
 monomials, and reads them from the packed ints: the leading monomial of a
@@ -122,10 +146,13 @@ argument saves that elimination when the section is defined: setting
 variables to zero is a linear map, which does not raise rank, so if the
 section's echelon rows are as many as the generators, the generators are
 linearly independent and are kept as they are; their count is the same
-either way.  A run that goes on starts from the reduced echelon basis of
-its generators' span (`_echelon`, then `_cleared`): each row monic and
-free of the other rows' leading monomials.  Only that run pays for the
-clearing.
+either way.  When the section was expanded from the cut matrix, its rows
+are one per selector, and that test needs no full minor: the full minors
+are then made only where they are read, by a height the section does not
+decide and by `IdealHandle.generators`.  A run that goes on starts from
+the reduced echelon basis of its generators' span (`_echelon`, whose rows
+are monic, then `_cleared`): each row free of the other rows' leading
+monomials.  Only that run pays for the clearing.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit` (module `deadline`, which lists the
@@ -141,11 +168,11 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import comb
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .deadline import check_deadline, ideal_named, time_limit  # noqa: F401  (time_limit re-exported)
 from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatchError
-from .matrixalg import MatrixKind, PolyMatrix, packed_minors, packed_pfaffians
+from .matrixalg import MatrixGenerators, MatrixKind, PolyMatrix, minor_generators, pfaffian_generators
 from .matrixalg import enumerate_minors  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .packed import PRODUCT_OVERFLOW, MonomialPacking, Packed, PackingOverflow  # noqa: F401  (MonomialPacking re-exported)
 from .poly import FieldSpec, Monomial, PolyRing, Polynomial, mon_div, mon_lcm
@@ -632,14 +659,19 @@ def _support_height(supports: list[int], stage: str) -> int:
 class IdealHandle:
     """An ideal of a polynomial ring, answering its height.
 
-    The generators are `Polynomial`s, packed once here, or already packed
-    (`Packed`, as `ideal_of_minors` and `ideal_of_pfaffians` build them).
-    The handle keeps a basis of their span: the nonzero generators
+    The generators are `Polynomial`s, packed once here, already packed
+    (`Packed`), or the minors or Pfaffians of a matrix, expanded on demand
+    (`MatrixGenerators`, as `ideal_of_minors` and `ideal_of_pfaffians` pass
+    them).  The handle keeps a basis of their span: the nonzero generators
     themselves when their leading monomials are distinct or their linear
     section shows them linearly independent, echelon rows (`_independent`)
-    otherwise (module docstring).  The ring is the generators' ring;
-    the zero ideal names it with `ring`.  `ceiling`, when given, is an
-    upper bound on the height of the ideal whenever it is proper, at which
+    otherwise (module docstring).  When the section of a matrix's minors or
+    Pfaffians, expanded from the cut matrix, shows them linearly
+    independent, the handle does not expand them in full: `generators` and
+    a height that the section does not decide expand them where they are
+    read.  The ring is the generators' ring; the zero ideal names it with
+    `ring`.  `ceiling`, when given, is an upper bound on the height of the
+    ideal whenever it is proper, at which
     `height` may stop early when the generators are homogeneous;
     inhomogeneous generators take a full run with no ceiling test (see the
     module docstring).  `homogeneous=True` promises that every generator is
@@ -650,83 +682,120 @@ class IdealHandle:
 
     def __init__(
         self,
-        generators: Iterable[Polynomial] | Packed,
+        generators: Iterable[Polynomial] | Packed | MatrixGenerators,
         ring: PolyRing | None = None,
         *,
         ceiling: int | None = None,
         name: str | None = None,
         homogeneous: bool = False,
     ):
-        if isinstance(generators, Packed):
-            packed = generators
-        else:
+        if not isinstance(generators, (Packed, MatrixGenerators)):
             gens = tuple(generators)
             if not gens and ring is None:
                 raise DomainError("the zero ideal needs an explicit ring")
-            packed = Packed.of(_ring_of(gens) if gens else ring, gens)
-        if ring is not None and ring != packed.ring:
+            generators = Packed.of(_ring_of(gens) if gens else ring, gens)
+        frame = generators.packed if isinstance(generators, MatrixGenerators) else generators
+        if ring is not None and ring != frame.ring:
             raise RingMismatchError("the generators live in a different ring from the one given")
-        self.ring = ring = packed.ring
+        self.ring = ring = frame.ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
         self._homogeneous = homogeneous
-        self._packed = packed._replace(polys=[p for p in packed.polys if p])
-        # The echelon rows of the linear section, when `_basis` made them.
-        self._section: list[dict] | None = None
+        # The minors or Pfaffians made on demand, when the section certified their count.
+        self._matrix: MatrixGenerators | None = None
+        # The echelon rows of the linear section, when they certified the count.
+        self._section: Packed | None = None
         with ideal_named(name):
-            self._packed = self._basis()
+            self._packed = self._basis(generators)
 
-    def _basis(self) -> Packed:
-        """A basis of the generators' span: they are one already when their
-        leading monomials are distinct, or when their linear section has as
-        many echelon rows as there are generators; echelon rows otherwise."""
-        polys = self._packed.polys
+    def _basis(self, generators: Packed | MatrixGenerators) -> Packed | None:
+        """A basis of the generators' span, or None when they are a matrix's
+        minors or Pfaffians whose count the section of the cut matrix
+        certified (they are then made on demand).
+
+        The generators are a basis already when their leading monomials are
+        distinct, or when their linear section has as many echelon rows as
+        there are generators; echelon rows otherwise.  Of a matrix of
+        homogeneous entries whose cut zeroes no nonzero entry, the section
+        is expanded first; otherwise, and when the section certifies
+        nothing, the full generators are expanded here."""
+        field, cut = self.ring.field, self.ceiling < self.ring.nvars
+        section = None
+        if isinstance(generators, MatrixGenerators):
+            if cut and self._homogeneous:
+                section = generators.cut(self.ceiling)
+            if section is not None:
+                with ideal_named(_section_name(self.name)):
+                    section = section.expand()
+                    rows = _echelon(section.polys, field, "independence filter", independent=True)
+                if rows is not None:
+                    self._matrix, self._section = generators, section._replace(polys=rows)
+                    return None
+            generators = generators.expand()
+        polys = [p for p in generators.polys if p]
+        packed = generators._replace(polys=polys)
         if len(set(map(max, polys))) == len(polys):
-            return self._packed
-        if self.ceiling < self.ring.nvars:
-            rows = _echelon(self._section_polys(), self.ring.field, "independence filter", independent=True)
+            return packed
+        # A section expanded above is these generators cut: it certified nothing.
+        if cut and section is None:
+            with ideal_named(_section_name(self.name)):
+                rows = _echelon(packed.packing.cut(polys, self.ceiling), field, "independence filter", independent=True)
             if rows is not None:
-                self._section = rows
-                return self._packed
-        return _independent(self._packed)
+                self._section = packed._replace(polys=rows)
+                return packed
+        return _independent(packed)
+
+    def _generators(self) -> Packed:
+        """The basis of the generators' span, expanded if made on demand."""
+        return self._packed if self._matrix is None else self._matrix.expand()
 
     @property
     def generators(self) -> tuple[Polynomial, ...]:
         """An echelon basis of the span of the generators, as `Polynomial`s
-        made on each access."""
-        packed = self._packed
+        made on each access, from minors or Pfaffians expanded on each
+        access when the section certified their count."""
+        packed = self._generators()
         return tuple(map(packed.polynomial, _echelon(packed.polys, packed.ring.field, "independence filter")))
 
     @property
     def generator_count(self) -> int:
         """The dimension of the generators' span."""
-        return len(self._packed.polys)
+        return len((self._packed if self._matrix is None else self._section).polys)
 
     def height(self):
         """Extended height: +inf for the unit ideal, 0 for the zero ideal.
 
         One Buchberger run on the packed generators, without inter-reduction,
         and when they miss the ceiling, one on their linear section inside
-        it.  With homogeneous generators it stops once the leading terms reach
+        it.  When the section certified the generator count, its run comes
+        first instead, and the generators are expanded only if it misses.
+        With homogeneous generators it stops once the leading terms reach
         the ceiling, on the generators themselves, in the linear section, or
         later, and the height is the ceiling; the module docstring has the
         proofs.  Otherwise the height comes from the leading terms of the
         run."""
-        packed, ceiling, nvars = self._packed, self.ceiling, self.ring.nvars
-        homogeneous = self._homogeneous or all(map(packed.packing.is_homogeneous, packed.polys))
-        # The linear section is tried once, when the generators miss the ceiling.
-        section = homogeneous and ceiling < nvars
-        reached = False
-
-        def at_ceiling(supports: list[int]) -> bool:
-            nonlocal reached, section
-            reached = homogeneous and _reaches(supports, ceiling)
-            if not reached and section:
-                section = False
-                reached = self._section_reaches()
-            return reached
-
+        ceiling, nvars = self.ceiling, self.ring.nvars
         with ideal_named(self.name):
+            # The linear section is tried once: first when the generators
+            # are made on demand, else when they miss the ceiling.
+            section = ceiling < nvars
+            if self._matrix is not None:
+                if self._section_reaches():
+                    return ceiling
+                section = False
+            packed = self._generators()
+            homogeneous = self._homogeneous or all(map(packed.packing.is_homogeneous, packed.polys))
+            section = section and homogeneous
+            reached = False
+
+            def at_ceiling(supports: list[int]) -> bool:
+                nonlocal reached, section
+                reached = homogeneous and _reaches(supports, ceiling)
+                if not reached and section:
+                    section = False
+                    reached = self._section_reaches()
+                return reached
+
             basis = buchberger(packed, stop=at_ceiling)
             if not basis:
                 return 0
@@ -735,14 +804,6 @@ class IdealHandle:
             if reached:
                 return ceiling
             return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
-
-    def _section_polys(self) -> Iterator[dict]:
-        """The linear section: the generators with their last nvars - c
-        variables set to zero, c the ceiling, made one at a time."""
-        ring, packing, polys = self._packed
-        cut = packing.variables(range(self.ceiling, ring.nvars))
-        support = packing.support
-        return ({m: c for m, c in p.items() if not support(m) & cut} for p in polys)
 
     def _section_reaches(self) -> bool:
         """Does the stopped Buchberger run on the linear section reach the
@@ -755,23 +816,30 @@ class IdealHandle:
             reached = _reaches(supports, ceiling)
             return reached
 
-        with ideal_named("the linear section" if self.name is None else f"the linear section of {self.name}"):
-            rows = self._section
-            if rows is None:
-                rows = _echelon(filter(None, self._section_polys()), self.ring.field, "independence filter")
-            buchberger(self._packed._replace(polys=rows), stop=at_ceiling)
+        with ideal_named(_section_name(self.name)):
+            section = self._section
+            if section is None:
+                packed = self._packed
+                rows = _echelon(filter(None, packed.packing.cut(packed.polys, ceiling)), self.ring.field, "independence filter")
+                section = packed._replace(polys=rows)
+            buchberger(section, stop=at_ceiling)
         return reached
 
     def __repr__(self) -> str:
         return f"IdealHandle({self.generator_count} generators over {self.ring})"
 
 
+def _section_name(name: str | None) -> str:
+    """The name of an ideal's linear section in timeout messages."""
+    return "the linear section" if name is None else f"the linear section of {name}"
+
+
 # -- determinantal and Pfaffian ideals ---------------------------------------
 
 
 def _independent(packed: Packed) -> Packed:
-    """An echelon basis of the span of the polynomials: one row for each
-    polynomial outside the span of those before it, in order, with
+    """An echelon basis of the span of the polynomials: one monic row for
+    each polynomial outside the span of those before it, in order, with
     distinct leading monomials.
 
     Exact elimination over the ring's field (`_echelon`): each row is keyed
@@ -792,13 +860,15 @@ def _independent(packed: Packed) -> Packed:
 def _echelon(
     polys: Iterable[dict], field: FieldSpec, stage: str, every: int = 1, independent: bool = False
 ) -> list[dict] | None:
-    """Echelon rows of the span, in order: each polynomial minus the
-    multiples of the rows before it that clear its leading monomial, until
-    that monomial is new; one that clears to zero is dropped, or with
-    `independent` ends the elimination with None, since the polynomials are
-    then not linearly independent.  Reads the clock at every `every`-th
-    polynomial."""
-    inverse, mod = field.inverse, field.modulus
+    """Echelon rows of the span, in order, each made monic: each polynomial
+    minus the multiples of the rows before it that clear its leading
+    monomial, until that monomial is new; one that clears to zero is
+    dropped, or with `independent` ends the elimination with None, since the
+    polynomials are then not linearly independent.  A row is stored monic
+    when it is added, so a step subtracts the row times the leading
+    coefficient it clears, and no step inverts a coefficient.  Reads the
+    clock at every `every`-th polynomial."""
+    mod = field.modulus
     pivots: dict[int, dict] = {}
     for count, p in enumerate(polys, 1):
         if count % every == 0:
@@ -808,11 +878,11 @@ def _echelon(
             lead = max(row)
             pivot = pivots.get(lead)
             if pivot is None:
-                pivots[lead] = row
+                pivots[lead] = _monic(row, field)
                 break
             if row is p:
                 row = dict(p)
-            factor = row[lead] * inverse(pivot[lead]) % mod
+            factor = row[lead]
             for m, c in pivot.items():
                 s = (row.get(m, 0) - factor * c) % mod
                 if s == 0:
@@ -866,11 +936,8 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     # have the smaller bound of their kind.
     bound_kind = MatrixKind.SYMMETRIC if M.kind is MatrixKind.SYMMETRIC else MatrixKind.ORDINARY
     ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
-    name = f"minors({t})"
-    with ideal_named(name):
-        gens = packed_minors(M, t)
     # Each term of a t x t minor is a product of t entry terms.
-    return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)
+    return IdealHandle(minor_generators(M, t), ceiling=ceiling, name=f"minors({t})", homogeneous=M.entry_degree is not None)
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -883,12 +950,9 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if two_t > M.n:
         return IdealHandle((), ring=M.ring)
-    name = f"pfaffians({two_t})"
-    with ideal_named(name):
-        gens = packed_pfaffians(M, two_t)
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
     # Each term of a 2t x 2t Pfaffian is a product of t entry terms.
-    return IdealHandle(gens, ceiling=ceiling, name=name, homogeneous=M.entry_degree is not None)
+    return IdealHandle(pfaffian_generators(M, two_t), ceiling=ceiling, name=f"pfaffians({two_t})", homogeneous=M.entry_degree is not None)
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:

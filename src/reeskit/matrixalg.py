@@ -13,18 +13,22 @@ adjoint is the alternating matrix whose (i, j) entry, i < j, is
 (-1)^(i+j) times the Pfaffian of the matrix with rows and columns i, j
 deleted; it satisfies pfadj(M)*M = Pf(M)*I.
 
-Packing happens once, at the matrix.  `_Expansion` packs each entry into
-the int monomials of module `packed` and multiplies dicts of them, a term
-product being one int sum.  Its width comes from a degree bound, which is
-also the proof that nothing overflows: a t x t minor or a 2t x 2t Pfaffian
-is a sum of products of t entries, so each exponent of every term formed
-is at most t*e, e the largest exponent among the entries, and the packing
-has room for 2*t*e.  `packed_minors` and `packed_pfaffians` hand the
-packed polynomials to `groebner` as they are; `Polynomial`s are made only
-where a public function returns them (`enumerate_minors`,
-`enumerate_pfaffians`, `determinant`, `pfaffian` and the adjoints).  The
-plain, unmemoized cofactor expansion on `Polynomial`s, `det_cofactor`,
-stays public as the independent reference the tests compare against.
+Packing happens once, at the matrix.  Each entry is packed into the int
+monomials of module `packed` (`_packed_entries`), and `_Expansion`
+multiplies dicts of them, a term product being one int sum.  The width
+comes from a degree bound, which is also the proof that nothing
+overflows: a t x t minor or a 2t x 2t Pfaffian is a sum of products of t
+entries, so each exponent of every term formed is at most t*e, e the
+largest exponent among the entries, and the packing has room for 2*t*e.
+Cutting terms from the entries lowers no bound, so the minors of a cut
+matrix (`MatrixGenerators.cut`) share the packing.  `MatrixGenerators`
+hands the packed polynomials to `groebner` as they are, and
+`packed_minors` and `packed_pfaffians` expand them all at once;
+`Polynomial`s are made only where a public function returns them
+(`enumerate_minors`, `enumerate_pfaffians`, `determinant`, `pfaffian`
+and the adjoints).  The plain, unmemoized cofactor expansion on
+`Polynomial`s, `det_cofactor`, stays public as the independent reference
+the tests compare against.
 
 The products read the clock under `minor enumeration` or `Pfaffian
 enumeration` when they enumerate, under `polynomial arithmetic` for a lone
@@ -211,26 +215,33 @@ def generic_matrix(
 # -- the packed expansion ----------------------------------------------------
 
 
+def _packed_entries(M: PolyMatrix, size: int) -> tuple[Packed, list[list[dict]]]:
+    """The packing of an expansion of M whose products have `size` entries
+    (t for a t x t minor and for a 2t x 2t Pfaffian), as a `Packed` with no
+    polynomials, and M's entries packed into it.  It has room for twice
+    `size` times the largest entry exponent, so no product is guard-tested
+    (the module docstring has the proof)."""
+    top = max((max(m, default=0) for row in M.rows for e in row for m in e.terms), default=0)
+    packing = MonomialPacking.with_room(M.ring, size * top)
+    return Packed(M.ring, packing, []), [[{packing.pack(m): c for m, c in e.terms.items()} for e in row] for row in M.rows]
+
+
 class _Expansion:
     """The memoized first-row expansion of one matrix, on packed polynomials.
 
-    `size` is the number of entries in one product of the largest minor or
-    Pfaffian asked for (t for a t x t minor and for a 2t x 2t Pfaffian); the
-    packing has room for twice `size` times the largest entry exponent, so
-    no product is guard-tested (the module docstring has the proof).  Minors
-    are memoized by (rows, cols) and Pfaffians by their index tuple, across
-    the whole computation.  The products read the clock under `stage`.
+    The entries are packed into `packed.packing` (`_packed_entries`).
+    Minors are memoized by (rows, cols) and Pfaffians by their index tuple,
+    across the whole computation.  The products read the clock under
+    `stage`.
     """
 
     __slots__ = ("packed", "_entries", "_memo", "_modulus", "_stage", "_due")
 
-    def __init__(self, M: PolyMatrix, size: int, stage: str):
-        top = max((max(m, default=0) for row in M.rows for e in row for m in e.terms), default=0)
-        packing = MonomialPacking.with_room(M.ring, size * top)
-        self.packed = Packed(M.ring, packing, [])
-        self._entries = [[{packing.pack(m): c for m, c in e.terms.items()} for e in row] for row in M.rows]
+    def __init__(self, packed: Packed, entries: list[list[dict]], stage: str):
+        self.packed = packed
+        self._entries = entries
         self._memo: dict = {}
-        self._modulus = M.ring.field.modulus
+        self._modulus = packed.ring.field.modulus
         self._stage = stage
         self._due = 0
 
@@ -325,7 +336,7 @@ def determinant(M: PolyMatrix) -> Polynomial:
     if M.n == 0:
         return M.ring.one()
     full = tuple(range(M.n))
-    ex = _Expansion(M, M.n, _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M, M.n), _ARITHMETIC)
     return ex.packed.polynomial(ex.minor(full, full))
 
 
@@ -339,7 +350,7 @@ def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(MatrixKind.ORDINARY, (), ring=ring)
     if n == 1:
         return PolyMatrix(MatrixKind.ORDINARY, [[ring.one()]], ring=ring)
-    ex = _Expansion(M, n - 1, _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M, n - 1), _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -363,7 +374,7 @@ def _require_alternating_even(M: PolyMatrix, op: str):
 def pfaffian(M: PolyMatrix) -> Polynomial:
     """Pf(M) by recursive Laplace expansion; Pf of the empty matrix is 1."""
     _require_alternating_even(M, "pfaffian")
-    ex = _Expansion(M, M.n // 2, _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M, M.n // 2), _ARITHMETIC)
     return ex.packed.polynomial(ex.pfaffian(tuple(range(M.n))))
 
 
@@ -372,7 +383,7 @@ def pfaffian_adjoint(M: PolyMatrix) -> PolyMatrix:
     _require_alternating_even(M, "pfaffian adjoint")
     n = M.n
     ring = M.ring
-    ex = _Expansion(M, max(n // 2 - 1, 0), _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M, max(n // 2 - 1, 0)), _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     all_idx = range(n)
     for i in range(n):
@@ -394,9 +405,57 @@ def minor_selectors(m: int, n: int, t: int) -> list[tuple[tuple[int, ...], tuple
     return [(r, c) for r in combinations(range(m), t) for c in combinations(range(n), t)]
 
 
-def packed_minors(M: PolyMatrix, t: int) -> Packed:
-    """All t x t minors as packed polynomials, selector order lexicographic
-    (rows outer).
+class MatrixGenerators:
+    """The t x t minors, or the 2t x 2t Pfaffians, of one matrix, as packed
+    polynomials in selector order, expanded on demand (`expand`) from the
+    matrix's entries, which `minor_generators` and `pfaffian_generators`
+    pack once.
+
+    `cut(first)` gives those of the matrix whose entries have the variables
+    from index `first` on set to zero, cut from the packed entries by
+    `MonomialPacking.cut`, at the same packing.  Setting variables to zero
+    is a ring homomorphism, so it commutes with determinants and Pfaffians:
+    each polynomial of the cut matrix is the full one with its cut terms
+    dropped.  Each `expand` expands anew, with a memo of its own, so the
+    object never changes.
+    """
+
+    __slots__ = ("packed", "_entries", "_selectors", "_pfaffians")
+
+    def __init__(self, packed: Packed, entries: list[list[dict]], selectors: list, pfaffians: bool):
+        self.packed = packed
+        self._entries = entries
+        self._selectors = selectors
+        self._pfaffians = pfaffians
+
+    def expand(self) -> Packed:
+        if self._pfaffians:
+            ex = _Expansion(self.packed, self._entries, "Pfaffian enumeration")
+            polys = [ex.pfaffian(idx) for idx in self._selectors]
+        else:
+            ex = _Expansion(self.packed, self._entries, "minor enumeration")
+            polys = [ex.minor(r, c) for r, c in self._selectors]
+        return self.packed._replace(polys=polys)
+
+    def cut(self, first: int) -> "MatrixGenerators | None":
+        """Those of the matrix cut at `first`, or None when the cut zeroes a
+        nonzero entry.  The entries are cut from the last one, which in a
+        generic matrix is a cut variable, so there the first entry cut
+        settles it."""
+        rows = self._entries
+        backward = [e for row in reversed(rows) for e in reversed(row)]
+        cut = []
+        for e, c in zip(backward, self.packed.packing.cut(backward, first)):
+            if e and not c:
+                return None
+            cut.append(c)
+        cut.reverse()
+        n = len(rows[0])
+        return MatrixGenerators(self.packed, [cut[i : i + n] for i in range(0, len(cut), n)], self._selectors, self._pfaffians)
+
+
+def minor_generators(M: PolyMatrix, t: int) -> MatrixGenerators:
+    """All t x t minors, selector order lexicographic (rows outer).
 
     Symmetric matrices skip the selectors with rows > cols: that minor is
     the transpose's determinant, equal to the (cols, rows) one.
@@ -404,27 +463,36 @@ def packed_minors(M: PolyMatrix, t: int) -> Packed:
     if not 1 <= t <= min(M.m, M.n):
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
-    ex = _Expansion(M, t, "minor enumeration")
-    minors = [ex.minor(r, c) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
-    return ex.packed._replace(polys=minors)
+    selectors = [(r, c) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
+    return MatrixGenerators(*_packed_entries(M, t), selectors, pfaffians=False)
+
+
+def packed_minors(M: PolyMatrix, t: int) -> Packed:
+    """All t x t minors as packed polynomials, in the order of
+    `minor_generators`."""
+    return minor_generators(M, t).expand()
 
 
 def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
-    """All t x t minors, in the order of `packed_minors`."""
+    """All t x t minors, in the order of `minor_generators`."""
     return packed_minors(M, t).polynomials()
 
 
-def packed_pfaffians(M: PolyMatrix, two_t: int) -> Packed:
-    """Pfaffians of all principal two_t x two_t submatrices, lexicographic,
-    as packed polynomials."""
+def pfaffian_generators(M: PolyMatrix, two_t: int) -> MatrixGenerators:
+    """Pfaffians of all principal two_t x two_t submatrices, lexicographic."""
     if M.kind is not MatrixKind.ALTERNATING:
         raise KindShapeError(f"pfaffian enumeration needs an alternating matrix, got {M.kind.value}")
     if two_t % 2 != 0:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if not 2 <= two_t <= M.n:
         raise DomainError(f"pfaffian size {two_t} out of range for a {M.n}x{M.n} matrix")
-    ex = _Expansion(M, two_t // 2, "Pfaffian enumeration")
-    return ex.packed._replace(polys=[ex.pfaffian(idx) for idx in combinations(range(M.n), two_t)])
+    return MatrixGenerators(*_packed_entries(M, two_t // 2), list(combinations(range(M.n), two_t)), pfaffians=True)
+
+
+def packed_pfaffians(M: PolyMatrix, two_t: int) -> Packed:
+    """Pfaffians of all principal two_t x two_t submatrices, lexicographic,
+    as packed polynomials."""
+    return pfaffian_generators(M, two_t).expand()
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:

@@ -53,7 +53,7 @@ is set exactly when e_i > 0.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
 from .poly import Monomial, MonomialOrder, PolyRing, Polynomial
@@ -138,9 +138,19 @@ class MonomialPacking:
         """The variables of x as guard bits (see the module docstring)."""
         return (self._exponents(x) + self._spread) & self.guard
 
-    def variables(self, indices: Iterable[int]) -> int:
-        """The guard bits that `support` sets for the variables at `indices`."""
-        return sum(1 << (self._shifts[i] + self.width - 1) for i in indices)
+    def cut(self, polys: Iterable[dict], first: int) -> Iterator[dict]:
+        """Each packed polynomial with the variables from index `first` on
+        set to zero: the terms whose support holds none of them, made one at
+        a time.  Those variables' guard bits are the ones above the fields
+        of the first `first` variables under grevlex, and below the fields
+        of the other variables under lex."""
+        if self._top is not None:
+            below = self.width * first
+            mask = self.guard >> below << below
+        else:
+            mask = self.guard & ((1 << (self.width * (self.nvars - first))) - 1)
+        support = self.support
+        return ({m: c for m, c in p.items() if not support(m) & mask} for p in polys)
 
     def mul(self, a: int, b: int) -> int:
         """The packed product; raises PackingOverflow past the width."""

@@ -2,6 +2,7 @@ import math
 import random
 import time
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from reeskit.groebner import (
     time_limit,
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
-from reeskit.matrixalg import MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, packed_minors, packed_pfaffians
+from reeskit.matrixalg import MatrixGenerators, MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, packed_minors, packed_pfaffians
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
 from conftest import FIELDS, brute_force_dimension, random_coeff, random_poly
@@ -580,6 +581,26 @@ def spy_on_routes(monkeypatch) -> list:
     return routes
 
 
+def spy_on_full_expansions(monkeypatch) -> list:
+    """Record each expansion of the minors or Pfaffians of an uncut matrix,
+    as `ideal_of_minors` and `ideal_of_pfaffians` make them; the expansions
+    of cut matrices are left out."""
+    uncut: list = []
+    expanded: list = []
+    for name in ("minor_generators", "pfaffian_generators"):
+        make = getattr(groebner, name)
+        monkeypatch.setattr(groebner, name, lambda M, size, make=make: uncut.append(make(M, size)) or uncut[-1])
+    expand = MatrixGenerators.expand
+
+    def spy(self):
+        if any(self is u for u in uncut):
+            expanded.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(MatrixGenerators, "expand", spy)
+    return expanded
+
+
 def route_taken(checks: list) -> str:
     """Which route decided a height, from its recorded ceiling checks."""
     if not checks:
@@ -773,14 +794,14 @@ class TestHeightCeiling:
         assert ideal_of_minors(PolyMatrix("ordinary", [[a, b, a + b]] * 3), 1).ceiling == 2
 
 
-def linear_matrix(rng: random.Random, ring: PolyRing, kind: str, m: int, n: int) -> PolyMatrix:
+def linear_matrix(rng: random.Random, ring: PolyRing, kind: str, m: int, n: int, density: float = 0.7) -> PolyMatrix:
     """A matrix of the kind whose free entries are random linear forms,
-    each variable present with probability 0.7."""
+    each variable present with probability `density`."""
 
     def form():
         terms = {}
         for i in range(ring.nvars):
-            if rng.random() < 0.7:
+            if rng.random() < density:
                 terms[tuple(int(j == i) for j in range(ring.nvars))] = random_coeff(rng, ring.field)
         return Polynomial(ring, terms)
 
@@ -867,9 +888,70 @@ class TestLinearSection:
         assert (True, False) in checks and True not in (outcome for _, outcome in checks)
         assert route_taken(checks) == "full run"
 
+    def test_a_certified_section_that_misses_falls_back_to_the_full_run(self, monkeypatch):
+        # I_2 of [[x a, x b, x c], [y d, y e, y f]] is xy I_2(N), N = [[a, b,
+        # c], [d, e, f]]: height 1 below the ceiling 2 in 3 variables.  Cut
+        # at v2, x and y become v0 and v1, and the three minors of N stay
+        # linearly independent quadrics in v0, v1.  So the section certifies
+        # the count, and its run misses the ceiling; the full minors are
+        # expanded only then, and the full run decides.
+        expansions = spy_on_full_expansions(monkeypatch)
+        filters = []
+        independent = groebner._independent
+        monkeypatch.setattr(groebner, "_independent", lambda packed: filters.append(packed) or independent(packed))
+        routes = spy_on_routes(monkeypatch)
+        ring = PolyRing(("v0", "v1", "v2"), field=F32003)
+        v0, v1, v2 = ring.gens()
+        x, y = v0 + v2, v1 + 3 * v2
+        N = [[v0 + v2, v1, v0 + v1 - v2], [v1 + 2 * v2, v0 + v1, v0 + 5 * v2]]
+        M = PolyMatrix("ordinary", [[x * e for e in N[0]], [y * e for e in N[1]]])
+        I = ideal_of_minors(M, 2)
+        assert (I.ceiling, I.generator_count, expansions, filters) == (2, 3, [], [])
+        routes.append([])
+        assert I.height() == 1
+        assert len(expansions) == 1 and filters == []
+        checks = routes[-1]
+        assert checks[0] == (True, False) and True not in (outcome for _, outcome in checks)
+        assert route_taken(checks) == "full run"
+        monkeypatch.undo()
+        assert full_run_height(I) == 1
+
+    @pytest.mark.parametrize("kind,m,n,t", [("ordinary", 4, 5, 3), ("ordinary", 4, 5, 4), ("symmetric", 4, 4, 4)])
+    def test_a_certified_section_that_reaches_the_ceiling_expands_no_full_minor(self, kind, m, n, t, monkeypatch):
+        # Dense linear matrices in 10 variables, as the benchmark's probe
+        # (4x5, minors(3) and minors(4)): the cut zeroes no entry, the
+        # section's rows certify the count, and its run reaches the ceiling,
+        # so the uncut matrix is never expanded.
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random(f"probe:{kind}"), ring, kind, m, n, density=1.0)
+        expansions = spy_on_full_expansions(monkeypatch)
+        routes = spy_on_routes(monkeypatch)
+        I = ideal_of_minors(M, t)
+        routes.append([])
+        selectors = (comb(m, t) * comb(n, t) + comb(n, t)) // 2 if kind == "symmetric" else comb(m, t) * comb(n, t)
+        assert (I.height(), I.generator_count) == (I.ceiling, selectors)
+        assert route_taken(routes[-1]) == "section"
+        assert expansions == []
+        monkeypatch.undo()
+        assert full_run_height(I) == I.ceiling
+
+    def test_expanding_the_cut_matrix_names_the_section(self):
+        # The section is expanded first, and its products read the clock
+        # under the enumeration stage of the section.
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe:ordinary"), ring, "ordinary", 4, 5, density=1.0)
+        with pytest.raises(ComputationTimeout, match=r"during minor enumeration of the linear section of minors\(3\)$"):
+            with time_limit(0.0):
+                ideal_of_minors(M, 3)
+        A = linear_matrix(random.Random("probe:alternating"), ring, "alternating", 6, 6, density=1.0)
+        with pytest.raises(ComputationTimeout, match=r"during Pfaffian enumeration of the linear section of pfaffians\(4\)$"):
+            with time_limit(0.0):
+                ideal_of_pfaffians(A, 4)
+
     def test_a_timeout_in_the_section_names_it(self, monkeypatch):
         # The probe of the benchmark: linear 4x5 in 10 variables, whose
-        # minors(3) reach their ceiling 6 only in the section.
+        # minors(3) reach their ceiling 6 only in the section, which
+        # certifies their count and runs first.
         ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
         M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5)
         I = ideal_of_minors(M, 3)
@@ -883,12 +965,13 @@ class TestLinearSection:
         with pytest.raises(ComputationTimeout, match=r"during height ceiling check of the linear section of minors\(3\)$"):
             I.height()
         monkeypatch.undo()
-        # Without a limit, every stage of the section reads the clock under its name.
+        # Without a limit, every stage of the height reads the clock under
+        # the section's name: the full minors are never expanded or read.
         reads = []
         monkeypatch.setattr(groebner, "check_deadline", lambda stage: reads.append((stage, deadline._ideal_name.get())))
         assert I.height() == 6
         assert ("Buchberger reduction", "the linear section of minors(3)") in reads
-        assert {name for _, name in reads} == {"minors(3)", "the linear section of minors(3)"}
+        assert {name for _, name in reads} == {"the linear section of minors(3)"}
 
 
 def random_generators(rng: random.Random, ring: PolyRing) -> list:

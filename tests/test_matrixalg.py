@@ -15,15 +15,17 @@ from reeskit.matrixalg import (
     enumerate_minors,
     enumerate_pfaffians,
     generic_matrix,
+    minor_generators,
     minor_selectors,
     packed_minors,
     packed_pfaffians,
     pfaffian,
     pfaffian_adjoint,
+    pfaffian_generators,
 )
-from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, parse_poly
+from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, parse_poly
 
-from conftest import random_poly
+from conftest import random_coeff, random_poly
 
 F32003 = FieldSpec.prime(32003)
 
@@ -414,11 +416,19 @@ def pf_laplace(M, idx):
     return total
 
 
-def random_matrix(rng, ring, kind, n, m=None, max_exp=2):
+def random_matrix(rng, ring, kind, n, m=None, max_exp=2, kept=0):
     """A kind-valid matrix of sparse random polynomials (some zero) of
-    degree up to `max_exp` in each variable."""
+    degree up to `max_exp` in each variable.  With `kept`, each free entry
+    also gets a term in the first `kept` variables alone."""
     m = n if m is None else m
-    upper = {(i, j): random_poly(rng, ring, max_terms=2, max_exp=max_exp) for i in range(m) for j in range(n)}
+
+    def entry():
+        p = random_poly(rng, ring, max_terms=2, max_exp=max_exp)
+        if kept:
+            p = p + ring.term(random_coeff(rng, ring.field), tuple(rng.randint(0, max_exp) if i < kept else 0 for i in range(ring.nvars)))
+        return p
+
+    upper = {(i, j): entry() for i in range(m) for j in range(n)}
     if kind == "ordinary":
         rows = [[upper[i, j] for j in range(n)] for i in range(m)]
     elif kind == "symmetric":
@@ -470,6 +480,42 @@ class TestPackedExpansion:
                 pf = pf_laplace(M, tuple(k for k in range(6) if k not in (i, j)))
                 assert adj.entry(i, j) == (pf if (i + j) % 2 == 0 else -pf)
                 assert adj.entry(j, i) == -adj.entry(i, j)
+
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
+    def test_the_cut_matrix_expands_to_the_cut_minors_and_pfaffians(self, any_field, order):
+        # Setting variables to zero is a ring homomorphism, so it commutes
+        # with determinants and Pfaffians: the section, expanded from the cut
+        # packed entries, is the full expansion cut term for term, and the
+        # expansion of the cut matrix built anew.  A cut that zeroes a
+        # nonzero entry gives no section.
+        rng = random.Random(f"cut:{any_field}:{order.value}")
+        ring = PolyRing(("x", "y", "z"), field=any_field, order=order)
+        outcomes = []
+        for trial in range(18):
+            kind, m, n = (("ordinary", 3, 4), ("symmetric", 4, 4), ("alternating", 4, 4))[trial % 3]
+            first = rng.randint(1, 2)
+            M = random_matrix(rng, ring, kind, n, m, kept=first if trial % 2 else 0)
+
+            def cut(p):
+                return Polynomial(ring, {e: c for e, c in p.terms.items() if not any(e[first:])})
+
+            cut_M = PolyMatrix(kind, [[cut(e) for e in row] for row in M.rows], ring=ring)
+            zeroes = any(not e.is_zero and cut(e).is_zero for row in M.rows for e in row)
+            families = [(minor_generators(M, t), enumerate_minors(cut_M, t)) for t in range(1, min(m, n) + 1)]
+            if kind == "alternating":
+                families += [(pfaffian_generators(M, two_t), enumerate_pfaffians(cut_M, two_t)) for two_t in (2, 4)]
+            for family, expected in families:
+                full, cut_family = family.expand(), family.cut(first)
+                outcomes.append(cut_family is not None)
+                if cut_family is None:
+                    assert zeroes
+                    continue
+                assert not zeroes
+                section = cut_family.expand()
+                assert section.packing is full.packing
+                assert section.polys == list(full.packing.cut(full.polys, first))
+                assert section.polynomials() == [cut(p) for p in full.polynomials()] == expected
+        assert outcomes.count(True) >= 20 and False in outcomes
 
     @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.LEX])
     def test_exponent_bound_past_8_bits_widens_the_packing(self, order):
