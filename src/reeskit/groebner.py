@@ -110,9 +110,9 @@ zeroes a nonzero entry, the full minors are expanded at construction and
 the routes run in the order above: the generators' ceiling test, then
 the section, cut from the generators by the same routine
 (`MonomialPacking.cut`).  Each cut variable of a generic matrix is an
-entry, whose generators often reach c on their own, so a generic matrix
-pays one mask test per entry term for the rule and nothing more.  Both
-orders are exact.
+entry, and its generators often reach c on their own; the rule scans the
+entries from the last, a cut variable there, so a generic matrix pays
+one mask test for it and nothing more.  Both orders are exact.
 
 The check computes ht J by the same recursion as the dimension search
 and compares it with c.  It reads only the supports of the leading
