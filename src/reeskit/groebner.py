@@ -68,8 +68,8 @@ grows and ht J with it.  A check made whenever a new leading monomial's
 support holds no support seen before is therefore made at every moment
 the answer can change: the run stops as soon as its leading terms reach c.
 
-The linear section.  When the generators' leading terms miss c and
-c < nvars, `height` first tries the linear section: the generators with
+The linear section.  When c < nvars, `height` also tries the linear
+section, at the point the route order below gives: the generators with
 the last nvars - c variables set to zero, whose echelon rows go through
 the same stopped run, in the same ring, with the same ceiling c.  If that
 run reaches c, then ht I = c.  Why, by Krull's height theorem: let L be
@@ -97,22 +97,31 @@ matrix, whose entries are the matrix's with their cut terms dropped, and
 each section row is the full minor or Pfaffian of the same selector with
 its cut terms dropped (`MatrixGenerators.cut`).  The cut entries have
 fewer terms, so the section costs less to expand than the full minors,
-and a certified count (see Generators) needs no full minor.  Which goes
-first is read from the input alone, by the entry rule.  When the entries
-share a degree, c < nvars and the cut zeroes no nonzero entry, the
-handle expands the cut matrix first.  If its rows are nonzero and
-linearly independent, the count is the number of selectors and no full
-minor is made at construction; `height` then runs the section first,
-returns c if it reaches c, and otherwise expands the full minors and goes
-on by the routes below (the generators, later in the run, the full run),
-without trying the section again.  Otherwise, and always when the cut
-zeroes a nonzero entry, the full minors are expanded at construction and
-the routes run in the order above: the generators' ceiling test, then
-the section, cut from the generators by the same routine
-(`MonomialPacking.cut`).  Each cut variable of a generic matrix is an
-entry, and its generators often reach c on their own; the rule scans the
-entries from the last, a cut variable there, so a generic matrix pays
-one mask test for it and nothing more.  Both orders are exact.
+and a certified count (see Generators) needs no full minor.
+
+The route order, read from the input alone by the entry rule:
+
+* Section first, when the generators are a matrix's minors or Pfaffians
+  whose entries share a degree, c < nvars and the cut zeroes no nonzero
+  entry.  The handle expands the cut matrix first.  If its rows are
+  nonzero and linearly independent, they certify the count and no full
+  minor is made at construction; `height` runs the section on those rows
+  and returns c if it reaches c, and otherwise expands the full minors
+  and goes on by the generators, later in the run and the full run,
+  without trying the section again.  A section whose rows certify nothing
+  is dropped, and the order below follows.
+* Generators first, otherwise.  The full minors are expanded at
+  construction, and `height` tries the generators' ceiling test, then,
+  when they miss and c < nvars, the section, cut from the basis the run
+  is on (`MonomialPacking.cut`) and put in echelon form, then later in the
+  run, then the full run.  The basis is already expanded there, and
+  cutting it costs less than expanding the cut matrix anew.  Each cut
+  variable of a generic matrix is an entry, and its generators often
+  reach c on their own; the rule scans the entries from the last, a cut
+  variable there, so a generic matrix pays one mask test for it and
+  nothing more.
+
+Both orders are exact, since each route is.
 
 The check computes ht J by the same recursion as the dimension search
 and compares it with c.  It reads only the supports of the leading
@@ -123,14 +132,14 @@ generators, made before any pair is formed, builds no exponent tuple.
 When it succeeds, the run returns the generators' leading terms, the one
 exponent tuple it unpacks per generator.  The minors and Pfaffians of a
 matrix whose entries share one degree are homogeneous, since each term is
-a product of t entry terms, so `ideal_of_minors` and `ideal_of_pfaffians`
-tell the handle so and it reads no term for it.  Such an ideal whose
-generators reach c costs its enumeration, one `max` per generator to see
-that the leading monomials are distinct, one mask per generator, and the
-recursion, in either order.  Other generators are checked term by term:
-under grevlex a polynomial's greatest and least keys hold its top and
-bottom degree, but under lex each term's degree is the sum of its
-unpacked exponents.  Only a run that goes on forms S-pairs.
+a product of t entry terms, so `MatrixGenerators.homogeneous` says so and
+the handle reads no term for it.  Such an ideal whose generators reach c
+costs its enumeration, one `max` per generator to see that the leading
+monomials are distinct, one mask per generator, and the recursion, in
+either order.  Other generators are checked term by term: under grevlex
+a polynomial's greatest and least keys hold its top and bottom degree,
+but under lex each term's degree is the sum of its unpacked exponents.
+Only a run that goes on forms S-pairs.
 Inhomogeneous generators may span the unit ideal, so their run has no
 ceiling test and completes.  Every height run skips the inter-reduction
 and returns only leading terms, since the leading terms of any Groebner
@@ -142,17 +151,16 @@ leading monomials are one already.  Otherwise `_independent` turns them
 into echelon rows, with distinct leading monomials; each leading monomial
 of a row is that of an element of I, so the ceiling check may read them,
 and they are at least as many as the generators' distinct ones.  The rank
-argument saves that elimination when the section is defined: setting
-variables to zero is a linear map, which does not raise rank, so if the
-section's echelon rows are as many as the generators, the generators are
-linearly independent and are kept as they are; their count is the same
-either way.  When the section was expanded from the cut matrix, its rows
-are one per selector, and that test needs no full minor: the full minors
-are then made only where they are read, by a height the section does not
-decide and by `IdealHandle.generators`.  A run that goes on starts from
-the reduced echelon basis of its generators' span (`_echelon`, whose rows
-are monic, then `_cleared`): each row free of the other rows' leading
-monomials.  Only that run pays for the clearing.
+argument saves that elimination, and every full minor, when the section
+is expanded from the cut matrix: setting variables to zero is a linear
+map, which does not raise rank, so if the section's echelon rows are one
+per selector, the full minors are linearly independent and their count is
+the number of selectors.  The full minors are then made only where they
+are read, by a height the section does not decide and by
+`IdealHandle.generators`.  A run that goes on starts from the reduced
+echelon basis of its generators' span (`_echelon`, whose rows are monic,
+then `_cleared`): each row free of the other rows' leading monomials.
+Only that run pays for the clearing.
 
 Heights are plain ints with `math.inf` reserved for the unit ideal. Long
 runs can be bounded with `time_limit` (module `deadline`, which lists the
@@ -659,51 +667,48 @@ def _support_height(supports: list[int], stage: str) -> int:
 class IdealHandle:
     """An ideal of a polynomial ring, answering its height.
 
-    The generators are `Polynomial`s, packed once here, already packed
-    (`Packed`), or the minors or Pfaffians of a matrix, expanded on demand
-    (`MatrixGenerators`, as `ideal_of_minors` and `ideal_of_pfaffians` pass
-    them).  The handle keeps a basis of their span: the nonzero generators
-    themselves when their leading monomials are distinct or their linear
-    section shows them linearly independent, echelon rows (`_independent`)
-    otherwise (module docstring).  When the section of a matrix's minors or
-    Pfaffians, expanded from the cut matrix, shows them linearly
-    independent, the handle does not expand them in full: `generators` and
-    a height that the section does not decide expand them where they are
-    read.  The ring is the generators' ring; the zero ideal names it with
-    `ring`.  `ceiling`, when given, is an upper bound on the height of the
-    ideal whenever it is proper, at which
-    `height` may stop early when the generators are homogeneous;
-    inhomogeneous generators take a full run with no ceiling test (see the
-    module docstring).  `homogeneous=True` promises that every generator is
-    homogeneous, as the minors and Pfaffians of a matrix whose entries share
-    one degree are; otherwise `height` reads it from the terms.  `name`
-    (for example `minors(3)`) appears in timeout messages.
+    The generators are `Polynomial`s, packed once here, or the minors or
+    Pfaffians of a matrix (`MatrixGenerators`, as `ideal_of_minors` and
+    `ideal_of_pfaffians` pass them).  The handle keeps a basis of their
+    span (`_basis`): the nonzero generators themselves when their leading
+    monomials are distinct, echelon rows (`_independent`) otherwise, or,
+    when the section of the cut matrix certified the count, nothing, and
+    `generators` and a height that the section does not decide expand the
+    minors or Pfaffians where they are read.  The module docstring gives
+    the order of the routes.  The ring is the generators' ring; the zero
+    ideal names it with `ring`.  `ceiling`, when given, is an upper bound on
+    the height of the ideal whenever it is proper, at which `height` may
+    stop early when the generators are homogeneous; inhomogeneous
+    generators take a full run with no ceiling test.  A matrix whose entries
+    share one degree promises homogeneous generators
+    (`MatrixGenerators.homogeneous`); otherwise `height` reads it from the
+    terms.  `name` (for example `minors(3)`) appears in timeout messages.
     """
 
     def __init__(
         self,
-        generators: Iterable[Polynomial] | Packed | MatrixGenerators,
+        generators: Iterable[Polynomial] | MatrixGenerators,
         ring: PolyRing | None = None,
         *,
         ceiling: int | None = None,
         name: str | None = None,
-        homogeneous: bool = False,
     ):
-        if not isinstance(generators, (Packed, MatrixGenerators)):
+        if isinstance(generators, MatrixGenerators):
+            frame = generators.packed
+        else:
             gens = tuple(generators)
             if not gens and ring is None:
                 raise DomainError("the zero ideal needs an explicit ring")
-            generators = Packed.of(_ring_of(gens) if gens else ring, gens)
-        frame = generators.packed if isinstance(generators, MatrixGenerators) else generators
+            generators = frame = Packed.of(_ring_of(gens) if gens else ring, gens)
         if ring is not None and ring != frame.ring:
             raise RingMismatchError("the generators live in a different ring from the one given")
         self.ring = ring = frame.ring
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
-        self._homogeneous = homogeneous
+        self._homogeneous = isinstance(generators, MatrixGenerators) and generators.homogeneous
         # The minors or Pfaffians made on demand, when the section certified their count.
         self._matrix: MatrixGenerators | None = None
-        # The echelon rows of the linear section, when they certified the count.
+        # The echelon rows of the cut matrix, when they certified the count.
         self._section: Packed | None = None
         with ideal_named(name):
             self._packed = self._basis(generators)
@@ -713,37 +718,23 @@ class IdealHandle:
         minors or Pfaffians whose count the section of the cut matrix
         certified (they are then made on demand).
 
-        The generators are a basis already when their leading monomials are
-        distinct, or when their linear section has as many echelon rows as
-        there are generators; echelon rows otherwise.  Of a matrix of
-        homogeneous entries whose cut zeroes no nonzero entry, the section
-        is expanded first; otherwise, and when the section certifies
-        nothing, the full generators are expanded here."""
-        field, cut = self.ring.field, self.ceiling < self.ring.nvars
-        section = None
+        The entry rule of the module docstring decides whether the cut
+        matrix is expanded first.  Otherwise, and when its section certifies
+        nothing, the full generators are expanded here, and they are a basis
+        when their leading monomials are distinct; echelon rows otherwise."""
         if isinstance(generators, MatrixGenerators):
-            if cut and self._homogeneous:
-                section = generators.cut(self.ceiling)
+            section = generators.cut(self.ceiling) if self._homogeneous and self.ceiling < self.ring.nvars else None
             if section is not None:
                 with ideal_named(_section_name(self.name)):
                     section = section.expand()
-                    rows = _echelon(section.polys, field, "independence filter", independent=True)
+                    rows = _echelon(section.polys, self.ring.field, "independence filter", independent=True)
                 if rows is not None:
                     self._matrix, self._section = generators, section._replace(polys=rows)
                     return None
             generators = generators.expand()
         polys = [p for p in generators.polys if p]
         packed = generators._replace(polys=polys)
-        if len(set(map(max, polys))) == len(polys):
-            return packed
-        # A section expanded above is these generators cut: it certified nothing.
-        if cut and section is None:
-            with ideal_named(_section_name(self.name)):
-                rows = _echelon(packed.packing.cut(polys, self.ceiling), field, "independence filter", independent=True)
-            if rows is not None:
-                self._section = packed._replace(polys=rows)
-                return packed
-        return _independent(packed)
+        return packed if len(set(map(max, polys))) == len(polys) else _independent(packed)
 
     def _generators(self) -> Packed:
         """The basis of the generators' span, expanded if made on demand."""
@@ -765,22 +756,20 @@ class IdealHandle:
     def height(self):
         """Extended height: +inf for the unit ideal, 0 for the zero ideal.
 
-        One Buchberger run on the packed generators, without inter-reduction,
-        and when they miss the ceiling, one on their linear section inside
-        it.  When the section certified the generator count, its run comes
-        first instead, and the generators are expanded only if it misses.
-        With homogeneous generators it stops once the leading terms reach
-        the ceiling, on the generators themselves, in the linear section, or
-        later, and the height is the ceiling; the module docstring has the
-        proofs.  Otherwise the height comes from the leading terms of the
-        run."""
+        The routes run in the order of the module docstring, each exact: the
+        certified section first, when there is one; then one Buchberger run
+        on the basis, without inter-reduction, which with homogeneous
+        generators stops once the leading terms reach the ceiling, on the
+        basis itself, in the linear section cut from it (unless the section
+        ran first), or later, and the height is the ceiling.  Otherwise the
+        height comes from the leading terms of the run."""
         ceiling, nvars = self.ceiling, self.ring.nvars
         with ideal_named(self.name):
-            # The linear section is tried once: first when the generators
-            # are made on demand, else when they miss the ceiling.
+            # The linear section is tried once: first when it certified the
+            # count, else when the basis misses the ceiling.
             section = ceiling < nvars
             if self._matrix is not None:
-                if self._section_reaches():
+                if self._section_reaches(self._section):
                     return ceiling
                 section = False
             packed = self._generators()
@@ -793,7 +782,9 @@ class IdealHandle:
                 reached = homogeneous and _reaches(supports, ceiling)
                 if not reached and section:
                     section = False
-                    reached = self._section_reaches()
+                    with ideal_named(_section_name(self.name)):
+                        rows = _echelon(filter(None, packed.packing.cut(packed.polys, ceiling)), self.ring.field, "independence filter")
+                    reached = self._section_reaches(packed._replace(polys=rows))
                 return reached
 
             basis = buchberger(packed, stop=at_ceiling)
@@ -805,9 +796,10 @@ class IdealHandle:
                 return ceiling
             return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
 
-    def _section_reaches(self) -> bool:
-        """Does the stopped Buchberger run on the linear section reach the
-        ceiling?  Then so does the height (module docstring)."""
+    def _section_reaches(self, rows: Packed) -> bool:
+        """Does the stopped Buchberger run on these echelon rows of the
+        linear section reach the ceiling?  Then so does the height (module
+        docstring)."""
         ceiling = self.ceiling
         reached = False
 
@@ -817,12 +809,7 @@ class IdealHandle:
             return reached
 
         with ideal_named(_section_name(self.name)):
-            section = self._section
-            if section is None:
-                packed = self._packed
-                rows = _echelon(filter(None, packed.packing.cut(packed.polys, ceiling)), self.ring.field, "independence filter")
-                section = packed._replace(polys=rows)
-            buchberger(section, stop=at_ceiling)
+            buchberger(rows, stop=at_ceiling)
         return reached
 
     def __repr__(self) -> str:
@@ -936,8 +923,7 @@ def ideal_of_minors(M: PolyMatrix, t: int) -> IdealHandle:
     # have the smaller bound of their kind.
     bound_kind = MatrixKind.SYMMETRIC if M.kind is MatrixKind.SYMMETRIC else MatrixKind.ORDINARY
     ceiling = expected_generic_height(bound_kind, M.m, M.n, t)
-    # Each term of a t x t minor is a product of t entry terms.
-    return IdealHandle(minor_generators(M, t), ceiling=ceiling, name=f"minors({t})", homogeneous=M.entry_degree is not None)
+    return IdealHandle(minor_generators(M, t), ceiling=ceiling, name=f"minors({t})")
 
 
 def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
@@ -951,8 +937,7 @@ def ideal_of_pfaffians(M: PolyMatrix, two_t: int) -> IdealHandle:
     if two_t > M.n:
         return IdealHandle((), ring=M.ring)
     ceiling = expected_generic_height(M.kind, M.m, M.n, two_t)
-    # Each term of a 2t x 2t Pfaffian is a product of t entry terms.
-    return IdealHandle(pfaffian_generators(M, two_t), ceiling=ceiling, name=f"pfaffians({two_t})", homogeneous=M.entry_degree is not None)
+    return IdealHandle(pfaffian_generators(M, two_t), ceiling=ceiling, name=f"pfaffians({two_t})")
 
 
 def expected_generic_height(kind, m: int, n: int, t: int) -> int:

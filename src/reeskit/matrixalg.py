@@ -23,8 +23,8 @@ largest exponent among the entries, and the packing has room for 2*t*e.
 Cutting terms from the entries lowers no bound, so the minors of a cut
 matrix (`MatrixGenerators.cut`) share the packing.  `MatrixGenerators`
 hands the packed polynomials to `groebner` as they are, and
-`packed_minors` and `packed_pfaffians` expand them all at once;
-`Polynomial`s are made only where a public function returns them
+`minor_generators(M, t).expand()` expands them all at once; `Polynomial`s
+are made only where a public function returns them
 (`enumerate_minors`, `enumerate_pfaffians`, `determinant`, `pfaffian`
 and the adjoints).  The plain, unmemoized cofactor expansion on
 `Polynomial`s, `det_cofactor`, stays public as the independent reference
@@ -411,6 +411,10 @@ class MatrixGenerators:
     matrix's entries, which `minor_generators` and `pfaffian_generators`
     pack once.
 
+    `homogeneous` is True when the entries share one degree: each term of a
+    t x t minor or a 2t x 2t Pfaffian is then a product of t entry terms, so
+    every polynomial is homogeneous, of t times that degree.
+
     `cut(first)` gives those of the matrix whose entries have the variables
     from index `first` on set to zero, cut from the packed entries by
     `MonomialPacking.cut`, at the same packing.  Setting variables to zero
@@ -420,10 +424,11 @@ class MatrixGenerators:
     object never changes.
     """
 
-    __slots__ = ("packed", "_entries", "_selectors", "_pfaffians")
+    __slots__ = ("packed", "homogeneous", "_entries", "_selectors", "_pfaffians")
 
-    def __init__(self, packed: Packed, entries: list[list[dict]], selectors: list, pfaffians: bool):
+    def __init__(self, packed: Packed, entries: list[list[dict]], selectors: list, pfaffians: bool, homogeneous: bool):
         self.packed = packed
+        self.homogeneous = homogeneous
         self._entries = entries
         self._selectors = selectors
         self._pfaffians = pfaffians
@@ -451,7 +456,7 @@ class MatrixGenerators:
             cut.append(c)
         cut.reverse()
         n = len(rows[0])
-        return MatrixGenerators(self.packed, [cut[i : i + n] for i in range(0, len(cut), n)], self._selectors, self._pfaffians)
+        return MatrixGenerators(self.packed, [cut[i : i + n] for i in range(0, len(cut), n)], self._selectors, self._pfaffians, self.homogeneous)
 
 
 def minor_generators(M: PolyMatrix, t: int) -> MatrixGenerators:
@@ -464,18 +469,12 @@ def minor_generators(M: PolyMatrix, t: int) -> MatrixGenerators:
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
     selectors = [(r, c) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
-    return MatrixGenerators(*_packed_entries(M, t), selectors, pfaffians=False)
-
-
-def packed_minors(M: PolyMatrix, t: int) -> Packed:
-    """All t x t minors as packed polynomials, in the order of
-    `minor_generators`."""
-    return minor_generators(M, t).expand()
+    return MatrixGenerators(*_packed_entries(M, t), selectors, pfaffians=False, homogeneous=M.entry_degree is not None)
 
 
 def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
     """All t x t minors, in the order of `minor_generators`."""
-    return packed_minors(M, t).polynomials()
+    return minor_generators(M, t).expand().polynomials()
 
 
 def pfaffian_generators(M: PolyMatrix, two_t: int) -> MatrixGenerators:
@@ -486,15 +485,9 @@ def pfaffian_generators(M: PolyMatrix, two_t: int) -> MatrixGenerators:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if not 2 <= two_t <= M.n:
         raise DomainError(f"pfaffian size {two_t} out of range for a {M.n}x{M.n} matrix")
-    return MatrixGenerators(*_packed_entries(M, two_t // 2), list(combinations(range(M.n), two_t)), pfaffians=True)
-
-
-def packed_pfaffians(M: PolyMatrix, two_t: int) -> Packed:
-    """Pfaffians of all principal two_t x two_t submatrices, lexicographic,
-    as packed polynomials."""
-    return pfaffian_generators(M, two_t).expand()
+    return MatrixGenerators(*_packed_entries(M, two_t // 2), list(combinations(range(M.n), two_t)), pfaffians=True, homogeneous=M.entry_degree is not None)
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:
     """Pfaffians of all principal two_t x two_t submatrices, lexicographic."""
-    return packed_pfaffians(M, two_t).polynomials()
+    return pfaffian_generators(M, two_t).expand().polynomials()

@@ -27,7 +27,7 @@ from reeskit.groebner import (
     time_limit,
 )
 from reeskit.gs import ProblemInstance, min_gens_generic
-from reeskit.matrixalg import MatrixGenerators, MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, packed_minors, packed_pfaffians
+from reeskit.matrixalg import MatrixGenerators, MatrixKind, PolyMatrix, enumerate_minors, generic_matrix, minor_generators, pfaffian_generators
 from reeskit.poly import FieldSpec, MonomialOrder, PolyRing, Polynomial, mon_div, parse_poly
 
 from conftest import FIELDS, brute_force_dimension, random_coeff, random_poly
@@ -569,10 +569,10 @@ def spy_on_routes(monkeypatch) -> list:
         routes[-1].append((bool(in_section), reaches(supports, ceiling)))
         return routes[-1][-1][1]
 
-    def section_spy(self):
+    def section_spy(self, rows):
         in_section.append(True)
         try:
-            return section_reaches(self)
+            return section_reaches(self, rows)
         finally:
             in_section.pop()
 
@@ -717,20 +717,28 @@ class TestHeightCeiling:
             assert calls == {"pack": entries, "unpack": I.generator_count + P.generator_count}
             assert (I.generator_count, P.generator_count) == counts
 
-    def test_a_common_entry_degree_promises_homogeneous_generators(self, any_field):
-        # ideal_of_minors and ideal_of_pfaffians promise homogeneity exactly
-        # when the entries share one degree, and the promise holds term by term.
+    def test_a_common_entry_degree_promises_homogeneous_generators(self, any_field, monkeypatch):
+        # minor_generators and pfaffian_generators promise homogeneity
+        # exactly when the entries share one degree, and the promise holds
+        # term by term.
+        made = []
+        for name in ("minor_generators", "pfaffian_generators"):
+            make = getattr(groebner, name)
+            monkeypatch.setattr(groebner, name, lambda M, size, make=make: made.append((M, make(M, size))) or made[-1][1])
         rng = random.Random(f"homogeneous:{any_field}")
         for trial in range(40):
             ring = PolyRing(("a", "b", "c"), field=any_field, order=rng.choice(list(MonomialOrder)))
             I = random_ideal(rng, ring)
-            packing = I._packed.packing
-            assert I._homogeneous or I.generator_count == 0  # a zero matrix has no entry degree
-            assert all(map(packing.is_homogeneous, I._packed.polys))
+            assert len(made) == trial + 1
+            M, gens = made[-1]
+            assert gens.homogeneous == (M.entry_degree is not None)
+            assert gens.homogeneous or I.generator_count == 0  # a zero matrix has no entry degree
+            packed = gens.expand()
+            assert all(map(packed.packing.is_homogeneous, filter(None, packed.polys)))
         a, b, c = ring.gens()
-        mixed = ideal_of_minors(PolyMatrix("ordinary", [[a, b * b], [c, a]]), 2)
-        assert not mixed._homogeneous
-        assert mixed.height() == 1
+        mixed = PolyMatrix("ordinary", [[a, b * b], [c, a]])
+        assert not minor_generators(mixed, 2).homogeneous
+        assert ideal_of_minors(mixed, 2).height() == 1
 
     def test_repeated_column_stays_below_the_ceiling(self):
         # I_2 of a generic 5x6 matrix whose last column repeats the fifth
@@ -859,7 +867,7 @@ class TestLinearSection:
         certified = 0
         for trial in range(24):
             M, size = random_linear_matrix(rng, field, order, trial)
-            packed = (packed_pfaffians if M.kind is MatrixKind.ALTERNATING else packed_minors)(M, size)
+            packed = (pfaffian_generators if M.kind is MatrixKind.ALTERNATING else minor_generators)(M, size).expand()
             polys = [p for p in packed.polys if p]
             filtered = len(filters)
             routes.append([])
@@ -887,6 +895,29 @@ class TestLinearSection:
         checks = routes[-1]
         assert (True, False) in checks and True not in (outcome for _, outcome in checks)
         assert route_taken(checks) == "full run"
+
+    def test_a_cut_that_zeroes_an_entry_cuts_the_basis(self, monkeypatch):
+        # Pf_4 of the alternating 5x5 matrix of `xyzw-alternating-5x5.json`:
+        # five Pfaffians in x, y, z, w with ceiling 3, so the cut sets w to
+        # zero, which zeroes the entry w, and the generators go first.  Their
+        # leading monomials collide, so the filter runs once, at
+        # construction; they miss the ceiling, and the section cut from
+        # their basis reaches it.
+        filters = []
+        independent = groebner._independent
+        monkeypatch.setattr(groebner, "_independent", lambda packed: filters.append(packed) or independent(packed))
+        routes = spy_on_routes(monkeypatch)
+        pf = cli.load_problem(CALLS / "problems" / "xyzw-alternating-5x5.json")
+        M = cli.build_matrix(pf, cli.DEFAULT_FIELD, MonomialOrder.GREVLEX)
+        I = ideal_of_pfaffians(M, 4)
+        assert (I.ceiling, M.ring.nvars, len(filters)) == (3, 4, 1)
+        assert I.generator_count == 5 == len(independent_by_tuples(pfaffian_generators(M, 4).expand().polynomials(), M.ring))
+        routes.append([])
+        assert I.height() == 3
+        assert len(filters) == 1
+        assert route_taken(routes[-1]) == "section"
+        monkeypatch.undo()
+        assert full_run_height(I) == 3
 
     def test_a_certified_section_that_misses_falls_back_to_the_full_run(self, monkeypatch):
         # I_2 of [[x a, x b, x c], [y d, y e, y f]] is xy I_2(N), N = [[a, b,
@@ -957,9 +988,9 @@ class TestLinearSection:
         I = ideal_of_minors(M, 3)
         section_reaches = IdealHandle._section_reaches
 
-        def expiring(self):
+        def expiring(self, rows):
             with time_limit(0.0):
-                return section_reaches(self)
+                return section_reaches(self, rows)
 
         monkeypatch.setattr(IdealHandle, "_section_reaches", expiring)
         with pytest.raises(ComputationTimeout, match=r"during height ceiling check of the linear section of minors\(3\)$"):
@@ -1162,7 +1193,7 @@ class TestTimeout:
         with pytest.raises(ComputationTimeout, match="during minor enumeration$"):
             with time_limit(0.0):
                 enumerate_minors(M, 2)
-        minors = packed_minors(M, 2)
+        minors = minor_generators(M, 2).expand()
         with pytest.raises(ComputationTimeout, match="during independence filter$"):
             with time_limit(0.0):
                 groebner._independent(minors)
@@ -1270,13 +1301,13 @@ def calls_ideals():
         for order in MonomialOrder:
             M = cli.build_matrix(pf, pf.field or cli.DEFAULT_FIELD, order)
             for t in range(1, min(M.m, M.n) + 1):
-                yield (path.name, order, t), packed_minors(M, t)
+                yield (path.name, order, t), minor_generators(M, t).expand()
             if M.kind is MatrixKind.ALTERNATING:
                 for two_t in range(2, M.n + 1, 2):
-                    yield (path.name, order, f"Pf {two_t}"), packed_pfaffians(M, two_t)
+                    yield (path.name, order, f"Pf {two_t}"), pfaffian_generators(M, two_t).expand()
     for kind, m, n, t in (("ordinary", 5, 8, 3), ("ordinary", 6, 8, 4), ("symmetric", 8, 8, 4)):
-        yield (kind, m, n, t), packed_minors(generic_matrix(m, n, kind, field=F32003), t)
-    yield ("alternating", 10, 10, 3), packed_pfaffians(generic_matrix(10, 10, "alternating", field=F32003), 6)
+        yield (kind, m, n, t), minor_generators(generic_matrix(m, n, kind, field=F32003), t).expand()
+    yield ("alternating", 10, 10, 3), pfaffian_generators(generic_matrix(10, 10, "alternating", field=F32003), 6).expand()
 
 
 class TestIndependenceFilter:

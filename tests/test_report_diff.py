@@ -47,6 +47,21 @@ def test_a_calls_file_runs_alone(tmp_path):
     assert done.stdout == "1 runs, 0 differ\n"
 
 
+def test_calls_files_run_in_the_order_given(tmp_path):
+    fake = tmp_path / "src" / "reeskit"
+    fake.mkdir(parents=True)
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("print('changed')\n")
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("generic --kind ordinary --m 2 --n 3 --t 2 --analyses height\n")
+    second.write_text("# a comment\ngeneric --kind ordinary --m 2 --n 2 --t 1 --analyses height\n")
+    done = run_tool(ROOT, tmp_path, "--only", "--calls", second, "--calls", first)
+    assert done.returncode == 1
+    names = [line.split(":", 2)[:2] for line in done.stdout.splitlines() if line.startswith("DIFF ")]
+    assert names == [["DIFF second.txt", "2"], ["DIFF first.txt", "1"]]
+    assert done.stdout.endswith("2 runs, 2 differ\n")
+
+
 def test_a_calls_line_can_name_a_file_in_the_problems_directory(tmp_path):
     # The old tree is the real CLI; the new one only says it ran.
     fake = tmp_path / "fake" / "src" / "reeskit"

@@ -1,20 +1,22 @@
 """Compare the reports of two reeskit source trees, run by run.
 
-    python3 tools/report_diff.py OLD_TREE NEW_TREE [--calls FILE] [--only [ID ...]]
+    python3 tools/report_diff.py OLD_TREE NEW_TREE [--calls FILE]... [--only [ID ...]]
 
 Each tree is a directory holding `src/reeskit`.  The runs are every base
 problem of every perfbench workload, as written (no seeded presentation)
 except that a scaling-limit probe (`may_expire`) runs without its
-`--timeout`, followed by the command lines in FILE, one per line in shell
-quoting (blank lines and lines starting with `#` are skipped).  `--only`
-keeps the named base problems and drops the rest; with no ID it drops them
-all, so `--only --calls FILE` runs the calls file alone.  Every run starts
-its own `python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a
-time, first on OLD_TREE and then on NEW_TREE, in the same working
-directory and with the same problem file.  The problem file of every base
-problem is written there as ID.json, whether it runs or not, and the
-`*.json` files of a `problems` directory beside FILE are copied there, so
-a calls line can name either.
+`--timeout`, followed by the command lines of each calls FILE, in the
+order the `--calls` options are given, one per line in shell quoting
+(blank lines and lines starting with `#` are skipped).  `--only` keeps the
+named base problems and drops the rest; with no ID it drops them all, so
+`--only --calls FILE` runs the calls file alone, and
+`--only --calls A --calls B` runs A and then B.  Every run starts its own
+`python3 -m reeskit.cli` process with `PYTHONHASHSEED=0`, one at a time,
+first on OLD_TREE and then on NEW_TREE, in the same working directory and
+with the same problem file.  The problem file of every base problem is
+written there as ID.json, whether it runs or not, and the `*.json` files
+of a `problems` directory beside each FILE are copied there, so a calls
+line can name either.
 
 A probe's run time straddles its limit, so with the limit one tree could
 expire where the other finishes: a difference of timing, not of the
@@ -122,7 +124,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree run first")
     parser.add_argument("new", type=Path, help="source tree compared with it")
-    parser.add_argument("--calls", type=Path, help="file of extra command lines, one per line")
+    parser.add_argument("--calls", type=Path, action="append", default=[], help="file of extra command lines, one per line; may be repeated")
     parser.add_argument("--only", nargs="*", metavar="ID", help="run only these base problems (none without an ID)")
     args = parser.parse_args(argv)
     for tree in (args.old, args.new):
@@ -135,8 +137,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
         workdir = Path(tmp)
         runs = base_runs(None if args.only is None else set(args.only), workdir)
-        if args.calls is not None:
-            runs += call_runs(args.calls, workdir)
+        for calls in args.calls:
+            runs += call_runs(calls, workdir)
         differing = 0
         for name, run_argv in runs:
             old = run_once(args.old, run_argv, workdir)
