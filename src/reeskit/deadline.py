@@ -3,17 +3,22 @@
 `time_limit(seconds)` bounds the work inside its block.  The loops that
 can run long (polynomial products, enumeration of minors and Pfaffians,
 the independence filter, the Buchberger set-up and main loop, reductions,
-the height ceiling check, the dimension search and, once per power k, the
-degree-bound evaluation) call `check_deadline` with the name of their
-stage, for example `polynomial arithmetic`, `Buchberger set-up` or
-`degree-bound evaluation`; past the deadline that raises ComputationTimeout
+the height ceiling check, the Hilbert target of a stopped run (the generic
+model's numerator and the count of leading monomials per degree), the
+dimension search and, once per power k, the degree-bound evaluation) call
+`check_deadline` with the name of their stage, for example `polynomial
+arithmetic`, `Buchberger set-up`, `Hilbert target` or `degree-bound
+evaluation`; past the deadline that raises ComputationTimeout
 naming the stage and, inside `ideal_named`, the ideal.  Work on the linear
 section of an ideal (module `groebner`) is named after it, for example
 `Buchberger reduction of the linear section of minors(3)`, and so is the
 expansion of a cut matrix: `minor enumeration of the linear section of
 minors(3)` or `Pfaffian enumeration of the linear section of
 pfaffians(4)`.  A height that the section of a cut matrix decides reads
-the clock only under the section's name.  Both values are ContextVars,
+the clock only under the section's name, and so does the generic model
+that the entry rule reads before the cut matrix is expanded: its
+expansion reads `minor enumeration` or `Pfaffian enumeration` and its
+elimination `independence filter`.  Both values are ContextVars,
 so threads and contexts do not share them.
 """
 

@@ -102,8 +102,11 @@ and a certified count (see Generators) needs no full minor.
 The route order, read from the input alone by the entry rule:
 
 * Section first, when the generators are a matrix's minors or Pfaffians
-  whose entries share a degree, c < nvars and the cut zeroes no nonzero
-  entry.  The handle expands the cut matrix first.  If its rows are
+  whose entries share a degree, c < nvars, the cut zeroes no nonzero
+  entry, and the selectors are no more than the generic matrix's linearly
+  independent minors or Pfaffians (`_model`): a linear relation among those
+  holds in every specialization, so with more selectors the cut matrix's
+  rows cannot be one per selector.  The handle expands the cut matrix first.  If its rows are
   nonzero and linearly independent, they certify the count and no full
   minor is made at construction; `height` runs the section on those rows
   and returns c if it reaches c, and otherwise expands the full minors
@@ -122,6 +125,44 @@ The route order, read from the input alone by the entry rule:
   nothing more.
 
 Both orders are exact, since each route is.
+
+Deferring by the Hilbert function (Traverso, "Hilbert functions and the
+Buchberger algorithm", 1996).  Take the t x t minors of an ordinary or
+symmetric matrix, or its 2t x 2t Pfaffians when it is alternating, whose
+entries are forms of one degree delta >= 1, with ceiling c equal to the
+generic bound, and a stopped run whose polynomials live in c variables:
+every run on the linear section, and the run on the generators when
+c = nvars.  If the ideal I of that run has height c, it is perfect like its
+generic model (Hochster and Eagon, 1971; Józefiak and Pragacz, 1979), so
+its Hilbert function is HF_D = [T^D] N(T^delta) / (1 - T)^c, N the Hilbert
+numerator of the generic ideal (`_hilbert_numerator` on the leading
+monomials of the generic generators' echelon rows, `_model`).  Then
+in(I)_D has dim S_D - HF_D monomials.  Once the leading monomials found so
+far divide that many monomials of degree D (`_DegreeCount`), every
+S-polynomial of degree D reduces to zero: its remainder is homogeneous of
+degree D, and a nonzero one would have a leading monomial in in(I)_D that
+none of them divides.  So the run defers each pair of such a degree.  The
+code does not rely on that argument:
+
+* Defer, not drop.  A deferred pair goes to a side list and is not marked
+  done, so the chain criterion never counts it.  If the heap empties before
+  the stop fires, the side list goes back into the heap and the run goes
+  on with no target; it ends only when both are empty.
+* A run that stops proves ht = c as above, whatever it deferred: every
+  element found lies in I.
+* A run that does not stop has then reduced every pair it deferred, so it
+  is Buchberger's algorithm with another selection order, and its
+  elements are a Groebner basis of the same ideal: the same leading-term
+  ideal and the same height as the plain run.
+
+So a wrong target costs time, never a number.  The theorems say why the
+target is sharp: when it is, no pair of a complete degree would have added
+a leading monomial.  Minors of an alternating matrix get no target, since
+their ceiling is the ordinary bound, not their family's.  The numerator is
+computed at the first pair that a target is asked about, once per kind,
+shape and field in a process, since it can take a large share of a short
+run: about 6 ms for the 3x3 minors of a generic 5x5 matrix and 47 ms for
+those of a 6x6 one (2-vCPU Xeon, Python 3.11).
 
 The check computes ht J by the same recursion as the dimension search
 and compares it with c.  It reads only the supports of the leading
@@ -183,7 +224,7 @@ from .errors import DomainError, GenericHeightError, KindShapeError, RingMismatc
 from .matrixalg import MatrixGenerators, MatrixKind, PolyMatrix, minor_generators, pfaffian_generators
 from .matrixalg import enumerate_minors  # noqa: F401  (perfbench's tracer test wraps this binding)
 from .packed import PRODUCT_OVERFLOW, MonomialPacking, Packed, PackingOverflow  # noqa: F401  (MonomialPacking re-exported)
-from .poly import FieldSpec, Monomial, PolyRing, Polynomial, mon_div, mon_lcm
+from .poly import FieldSpec, Monomial, MonomialOrder, PolyRing, Polynomial, mon_div, mon_lcm
 
 # Reductions read the clock once per this many terms taken.
 _DEADLINE_EVERY_STEPS = 256
@@ -342,7 +383,9 @@ def buchberger(
     packed ints): on the generators, and again whenever a new leading
     monomial, of an echelon row or of an element found, has a support that
     holds none of those seen before.  When it returns True the run ends.
-    The unit ideal still gives the basis (1,).
+    A stop test that carries a Hilbert target (`_CeilingTest`) has the run
+    defer the S-pairs of each degree the target says is complete (module
+    docstring).  The unit ideal still gives the basis (1,).
     """
     if not isinstance(gens, Packed):
         gens = [g for g in gens if not g.is_zero]
@@ -377,10 +420,18 @@ def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
     """The reduced packed basis, descending by leading monomial, or with a
     `stop` test (see `buchberger`, which has already called it on the
     generators) the leading monomials of the elements found, as exponent
-    tuples in that order; None for the unit ideal."""
+    tuples in that order; None for the unit ideal.
+
+    With a Hilbert target, a pair whose degree the target says is complete
+    goes to `deferred` and is not marked done; when the heap empties before
+    the stop fires, the deferred pairs go back into it and the run goes on
+    with no target."""
     field, packing = packed.ring.field, packed.packing
     modulus = field.modulus
     guard = packing.guard
+    target = stop.target if isinstance(stop, _CeilingTest) else None
+    degrees = None if target is None else _DegreeCount(target, packing)
+    deferred: list = []
 
     reducers: list[tuple] = []
     lms: list[Monomial] = []
@@ -442,9 +493,15 @@ def _buchberger(packed: Packed, stop: Callable | None) -> list | None:
     for j in range(len(reducers)):
         push_pairs(j)
 
-    while heap:
+    while heap or deferred:
+        if not heap:
+            heap, deferred, degrees = deferred, [], None
+            heapify(heap)
         check_deadline(stage)
         sugar, lcm, i, j = heappop(heap)
+        if degrees is not None and degrees.complete(sugar, reducers):
+            deferred.append((sugar, lcm, i, j))
+            continue
         done[j][i] = 1
         # Coprime leading terms: the S-polynomial reduces to zero.
         if packing.degree(lcm) == degs[i] + degs[j]:
@@ -664,6 +721,272 @@ def _support_height(supports: list[int], stage: str) -> int:
     return height(supports)
 
 
+def _hilbert_numerator(monomials: Sequence[Monomial], stage: str) -> list[int]:
+    """The Hilbert numerator N of the ideal J the monomials generate, as its
+    coefficients from T^0: HS(S/J) = N(T)/(1-T)^nvars, and N does not depend
+    on nvars.
+
+    Exponents, not supports: a monomial that is not squarefree has an ideal
+    of its own.  The monomials are packed under grevlex, where divisibility
+    is one subtraction and a guard mask and the degree is the top field
+    (module `packed`).  Sets of generators sharing no variable multiply,
+    and a single generator of degree d gives 1 - T^d.  A connected set of
+    two or more pivots on its most frequent variable x (Bayer and Stillman,
+    1992; Bigatti, 1997): the exact sequence 0 -> S/(J : x)(-1) -> S/J ->
+    S/(J + (x)) -> 0 gives
+
+        N(J) = N(J + (x)) + T N(J : x) = (1 - T) N(generators avoiding x) + T N(J : x),
+
+    since x is a nonzerodivisor on S over the ideal of the generators
+    avoiding x, which with x generate J + (x).  J : x is generated by the
+    generators with one factor x taken off those holding it.  Each side
+    lowers the exponents of x in the set, so the recursion ends;
+    numerators are memoized for one call.  It reads the clock at its first
+    split and once per `_DEADLINE_EVERY_NODES` splits after it."""
+    if not monomials:
+        return [1]
+    nvars = len(monomials[0])
+    packing = MonomialPacking(nvars, MonomialOrder.GREVLEX, max(8, (2 * max(map(max, monomials))).bit_length() + 1))
+    support, offset, guard, top = packing.support, packing.offset, packing.guard, packing.width * nvars
+    # For the guard bit of variable i: x_i packed, less the offset, so that a
+    # packed monomial minus it is the quotient by x_i.
+    unit = {}
+    for i in range(nvars):
+        x = packing.pack(tuple(int(j == i) for j in range(nvars)))
+        unit[support(x)] = x - offset
+    memo: dict[frozenset, list[int]] = {}
+    nodes = 0
+
+    def minimal(gens: Iterable[int]) -> list[int]:
+        kept: list[int] = []
+        for g in sorted(set(gens)):  # ascending degree first, so a divisor comes before
+            if all((g - k + offset) & guard for k in kept):
+                kept.append(g)
+        return kept
+
+    def numerator(gens: list[int]) -> list[int]:
+        nonlocal nodes
+        total = [1]
+        while gens:
+            # Grow the connected component of the first generator.
+            joined, size = support(gens[0]), 0
+            while True:
+                members = [g for g in gens if support(g) & joined]
+                if len(members) == size:
+                    break
+                size = len(members)
+                for g in members:
+                    joined |= support(g)
+            gens = [g for g in gens if not support(g) & joined]
+            if size == 1:
+                d = members[0] >> top
+                factor = [1] + [0] * (d - 1) + [-1]
+            else:
+                key = frozenset(members)
+                factor = memo.get(key)
+                if factor is None:
+                    if nodes % _DEADLINE_EVERY_NODES == 0:
+                        check_deadline(stage)
+                    nodes += 1
+                    counts: dict[int, int] = {}
+                    for g in members:
+                        s = support(g)
+                        while s:
+                            bit = s & -s
+                            s ^= bit
+                            counts[bit] = counts.get(bit, 0) + 1
+                    x = max(counts.items(), key=itemgetter(1))[0]
+                    avoiding = numerator([g for g in members if not support(g) & x])
+                    colon = numerator(minimal([g - unit[x] if support(g) & x else g for g in members]))
+                    factor = _poly_add(_poly_mul([1, -1], avoiding), [0] + colon)
+                    memo[key] = factor
+            total = _poly_mul(total, factor)
+        return total
+
+    return numerator(minimal(map(packing.pack, monomials)))
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two polynomials in T, as coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_add(a: list[int], b: list[int]) -> list[int]:
+    """The sum of two polynomials in T, as coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b + [0] * (len(a) - len(b)))]
+
+
+# The stage of the Hilbert numerator and of the counts of leading monomials
+# per degree that the target is compared with.
+_HILBERT = "Hilbert target"
+
+
+class _Model:
+    """The generic matrix's minors or Pfaffians for one kind, shape and
+    field (`MatrixGenerators.generic`): `count`, the number of linearly
+    independent ones, and, made on first use, the Hilbert numerator of the
+    leading monomials of their echelon rows under grevlex.
+
+    Neither depends on the ring's order: the count is a rank, and S/I and
+    S/in(I) have one Hilbert function for every order.  The numerator is
+    that of I_gen when those leading monomials generate in(I_gen), and
+    under grevlex they do for every shape the tests compare with closed
+    forms; under lex the generic Pfaffians' do not."""
+
+    __slots__ = ("count", "_leads", "_numerator")
+
+    def __init__(self, leads: list[Monomial]):
+        self.count = len(leads)
+        self._leads = leads
+        self._numerator: list[int] | None = None
+
+    def numerator(self) -> list[int]:
+        if self._numerator is None:
+            self._numerator = _hilbert_numerator(self._leads, _HILBERT)
+        return self._numerator
+
+
+# Models by (kind, shape, size, pfaffians, field); the oldest is dropped
+# past this many.
+_MODELS: dict[tuple, _Model] = {}
+_MODELS_KEPT = 32
+
+
+def _model(gens: MatrixGenerators) -> _Model:
+    """The generic model of the generators' ideal, made once per process."""
+    field = gens.packed.ring.field
+    key = (gens.kind, gens.shape, gens.size, gens.pfaffians, field)
+    model = _MODELS.get(key)
+    if model is None:
+        generic = gens.generic().expand()
+        rows = _echelon(generic.polys, field, "independence filter")
+        model = _Model([generic.packing.unpack(max(row)) for row in rows])
+        if len(_MODELS) >= _MODELS_KEPT:
+            del _MODELS[next(iter(_MODELS))]
+        _MODELS[key] = model
+    return model
+
+
+class _HilbertTarget:
+    """The Hilbert function HF_D = [T^D] N(T^delta) / (1 - T)^nvars of a
+    ring in `nvars` variables over an ideal of the generators, N the generic
+    model's numerator and delta their entry degree: what the ideal has when
+    its height is the generic bound nvars (module docstring).  `leading(D)`
+    is dim S_D - HF_D, the number of degree-D monomials of its leading-term
+    ideal.  The numerator is made at the first call."""
+
+    __slots__ = ("nvars", "_gens", "_leading")
+
+    def __init__(self, gens: MatrixGenerators, nvars: int):
+        self.nvars = nvars
+        self._gens = gens
+        self._leading: dict[int, int] = {}
+
+    def leading(self, degree: int) -> int:
+        value = self._leading.get(degree)
+        if value is None:
+            c, delta = self.nvars - 1, self._gens.degree
+            hf = sum(a * comb(degree - delta * k + c, c) for k, a in enumerate(_model(self._gens).numerator()) if delta * k <= degree)
+            value = self._leading[degree] = comb(degree + c, c) - hf
+        return value
+
+
+def _hilbert_target(gens: MatrixGenerators, ceiling: int) -> _HilbertTarget | None:
+    """The target of a run in `ceiling` variables on the generators, or None:
+    their entries share a positive degree, the generic model is of their
+    own family (minors of an alternating matrix have the ordinary bound),
+    and the ceiling is its generic bound."""
+    if not gens.degree or (gens.kind is MatrixKind.ALTERNATING) != gens.pfaffians:
+        return None
+    if expected_generic_height(gens.kind, *gens.shape, gens.size) != ceiling:
+        return None
+    return _HilbertTarget(gens, ceiling)
+
+
+class _DegreeCount:
+    """J_D per degree D, for one run: the degree-D monomials in the target's
+    variables (the first `target.nvars`) that the leading monomials found
+    so far divide, as packed ints.  J_D is the union of x J_{D-1} over those
+    variables x and of the leading monomials of degree D; a leading
+    monomial of degree d drops the J_D with D > d, remade when asked for.
+    `complete(D, reducers)` tells whether |J_D| is the target's count, and
+    once it is, it stays so.  Degrees past the packing's largest exponent
+    are never complete, so no product overflows."""
+
+    __slots__ = ("target", "_packing", "_steps", "_leads", "_levels", "_seen", "_complete")
+
+    def __init__(self, target: _HilbertTarget, packing: MonomialPacking):
+        self.target = target
+        self._packing = packing
+        n = packing.nvars
+        self._steps = [packing.pack(tuple(int(j == i) for j in range(n))) - packing.offset for i in range(target.nvars)]
+        self._leads: dict[int, list[int]] = {}
+        self._levels: dict[int, set[int]] = {}
+        self._seen = 0
+        self._complete: set[int] = set()
+
+    def complete(self, degree: int, reducers: list[tuple]) -> bool:
+        if degree in self._complete:
+            return True
+        packing, levels = self._packing, self._levels
+        if degree > packing.max_exponent:
+            return False
+        for r in reducers[self._seen :]:
+            lead = r[0] + packing.offset
+            d = packing.degree(lead)
+            self._leads.setdefault(d, []).append(lead)
+            for e in [e for e in levels if e >= d]:
+                if e == d:
+                    levels[e].add(lead)
+                else:
+                    del levels[e]
+        self._seen = len(reducers)
+        if len(self._level(degree)) != self.target.leading(degree):
+            return False
+        self._complete.add(degree)
+        return True
+
+    def _level(self, degree: int) -> set[int]:
+        level = self._levels.get(degree)
+        if level is None:
+            check_deadline(_HILBERT)
+            below = self._level(degree - 1) if degree > min(self._leads) else ()
+            level = {m + s for m in below for s in self._steps}
+            level.update(self._leads.get(degree, ()))
+            self._levels[degree] = level
+        return level
+
+
+class _CeilingTest:
+    """The stop test of a height run (`buchberger`'s `stop`): do the leading
+    monomials, given by their supports, reach `ceiling`?  The last answer is
+    kept in `reached`.  `section`, when given, is tried once, at the first
+    miss, and its answer stands for the test's.  `target`, when given, is
+    the run's Hilbert target, which `_buchberger` reads."""
+
+    __slots__ = ("ceiling", "target", "reached", "_section")
+
+    def __init__(self, ceiling: int, target: _HilbertTarget | None, section: Callable[[], bool] | None = None):
+        self.ceiling = ceiling
+        self.target = target
+        self.reached = False
+        self._section = section
+
+    def __call__(self, supports: list[int]) -> bool:
+        self.reached = _reaches(supports, self.ceiling)
+        if not self.reached and self._section is not None:
+            section, self._section = self._section, None
+            self.reached = section()
+        return self.reached
+
+
 class IdealHandle:
     """An ideal of a polynomial ring, answering its height.
 
@@ -683,6 +1006,9 @@ class IdealHandle:
     share one degree promises homogeneous generators
     (`MatrixGenerators.homogeneous`); otherwise `height` reads it from the
     terms.  `name` (for example `minors(3)`) appears in timeout messages.
+    The minors or Pfaffians of a matrix give its stopped runs in c
+    variables a Hilbert target when the module docstring says they have
+    one (`_hilbert_target`).
     """
 
     def __init__(
@@ -706,6 +1032,8 @@ class IdealHandle:
         self.ceiling = ring.nvars if ceiling is None else min(ceiling, ring.nvars)
         self.name = name
         self._homogeneous = isinstance(generators, MatrixGenerators) and generators.homogeneous
+        # The Hilbert target of a run in `ceiling` variables (module docstring).
+        self._target = _hilbert_target(generators, self.ceiling) if isinstance(generators, MatrixGenerators) else None
         # The minors or Pfaffians made on demand, when the section certified their count.
         self._matrix: MatrixGenerators | None = None
         # The echelon rows of the cut matrix, when they certified the count.
@@ -725,9 +1053,13 @@ class IdealHandle:
         if isinstance(generators, MatrixGenerators):
             section = generators.cut(self.ceiling) if self._homogeneous and self.ceiling < self.ring.nvars else None
             if section is not None:
+                rows = None
                 with ideal_named(_section_name(self.name)):
-                    section = section.expand()
-                    rows = _echelon(section.polys, self.ring.field, "independence filter", independent=True)
+                    # No more selectors than the generic generators' count: a
+                    # linear relation among those holds in every specialization.
+                    if generators.selector_count <= _model(generators).count:
+                        section = section.expand()
+                        rows = _echelon(section.polys, self.ring.field, "independence filter", independent=True)
                 if rows is not None:
                     self._matrix, self._section = generators, section._replace(polys=rows)
                     return None
@@ -774,25 +1106,22 @@ class IdealHandle:
                 section = False
             packed = self._generators()
             homogeneous = self._homogeneous or all(map(packed.packing.is_homogeneous, packed.polys))
-            section = section and homogeneous
-            reached = False
 
-            def at_ceiling(supports: list[int]) -> bool:
-                nonlocal reached, section
-                reached = homogeneous and _reaches(supports, ceiling)
-                if not reached and section:
-                    section = False
-                    with ideal_named(_section_name(self.name)):
-                        rows = _echelon(filter(None, packed.packing.cut(packed.polys, ceiling)), self.ring.field, "independence filter")
-                    reached = self._section_reaches(packed._replace(polys=rows))
-                return reached
+            def cut_section() -> bool:
+                with ideal_named(_section_name(self.name)):
+                    rows = _echelon(filter(None, packed.packing.cut(packed.polys, ceiling)), self.ring.field, "independence filter")
+                return self._section_reaches(packed._replace(polys=rows))
 
-            basis = buchberger(packed, stop=at_ceiling)
+            test = None
+            if homogeneous:
+                # The target needs a run in c variables: with c < nvars, the section's.
+                test = _CeilingTest(ceiling, self._target if ceiling == nvars else None, cut_section if section else None)
+            basis = buchberger(packed, stop=_never if test is None else test)
             if not basis:
                 return 0
             if basis[0].degree() == 0:
                 return math.inf
-            if reached:
+            if test is not None and test.reached:
                 return ceiling
             return nvars - monomial_ideal_dimension([g.leading_monomial() for g in basis], nvars)
 
@@ -800,20 +1129,18 @@ class IdealHandle:
         """Does the stopped Buchberger run on these echelon rows of the
         linear section reach the ceiling?  Then so does the height (module
         docstring)."""
-        ceiling = self.ceiling
-        reached = False
-
-        def at_ceiling(supports: list[int]) -> bool:
-            nonlocal reached
-            reached = _reaches(supports, ceiling)
-            return reached
-
+        test = _CeilingTest(self.ceiling, self._target)
         with ideal_named(_section_name(self.name)):
-            buchberger(rows, stop=at_ceiling)
-        return reached
+            buchberger(rows, stop=test)
+        return test.reached
 
     def __repr__(self) -> str:
         return f"IdealHandle({self.generator_count} generators over {self.ring})"
+
+
+def _never(supports: list[int]) -> bool:
+    """The stop test of inhomogeneous generators, which have no ceiling."""
+    return False
 
 
 def _section_name(name: str | None) -> str:

@@ -38,6 +38,7 @@ determinant, Pfaffian or adjoint: before the first and then once per
 
 from __future__ import annotations
 
+from copy import copy
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -411,6 +412,15 @@ class MatrixGenerators:
     matrix's entries, which `minor_generators` and `pfaffian_generators`
     pack once.
 
+    They carry what the generic model of their ideal is read from: the
+    matrix's `kind` and `shape` (m, n), the minor or Pfaffian `size` (t or
+    2t), `pfaffians`, and `degree`, the common degree of the entries, or
+    None when they have none (`PolyMatrix.entry_degree`).  `generic()`
+    gives those of the generic matrix of the same kind and shape, over the
+    same field, which `groebner` expands once per process for the count of
+    linearly independent generic generators and the Hilbert numerator of
+    their leading terms.
+
     `homogeneous` is True when the entries share one degree: each term of a
     t x t minor or a 2t x 2t Pfaffian is then a product of t entry terms, so
     every polynomial is homogeneous, of t times that degree.
@@ -424,23 +434,39 @@ class MatrixGenerators:
     object never changes.
     """
 
-    __slots__ = ("packed", "homogeneous", "_entries", "_selectors", "_pfaffians")
+    __slots__ = ("packed", "kind", "shape", "size", "pfaffians", "degree", "_entries", "_selectors")
 
-    def __init__(self, packed: Packed, entries: list[list[dict]], selectors: list, pfaffians: bool, homogeneous: bool):
-        self.packed = packed
-        self.homogeneous = homogeneous
-        self._entries = entries
+    def __init__(self, M: PolyMatrix, size: int, selectors: list, pfaffians: bool):
+        self.packed, self._entries = _packed_entries(M, size // 2 if pfaffians else size)
+        self.kind = M.kind
+        self.shape = (M.m, M.n)
+        self.size = size
+        self.pfaffians = pfaffians
+        self.degree = M.entry_degree
         self._selectors = selectors
-        self._pfaffians = pfaffians
+
+    @property
+    def homogeneous(self) -> bool:
+        return self.degree is not None
+
+    @property
+    def selector_count(self) -> int:
+        return len(self._selectors)
 
     def expand(self) -> Packed:
-        if self._pfaffians:
+        if self.pfaffians:
             ex = _Expansion(self.packed, self._entries, "Pfaffian enumeration")
             polys = [ex.pfaffian(idx) for idx in self._selectors]
         else:
             ex = _Expansion(self.packed, self._entries, "minor enumeration")
             polys = [ex.minor(r, c) for r, c in self._selectors]
         return self.packed._replace(polys=polys)
+
+    def generic(self) -> "MatrixGenerators":
+        """Those of the generic matrix of the same kind and shape, in a ring
+        of fresh variables over the same field, under grevlex."""
+        M = generic_matrix(*self.shape, self.kind, field=self.packed.ring.field)
+        return (pfaffian_generators if self.pfaffians else minor_generators)(M, self.size)
 
     def cut(self, first: int) -> "MatrixGenerators | None":
         """Those of the matrix cut at `first`, or None when the cut zeroes a
@@ -456,7 +482,9 @@ class MatrixGenerators:
             cut.append(c)
         cut.reverse()
         n = len(rows[0])
-        return MatrixGenerators(self.packed, [cut[i : i + n] for i in range(0, len(cut), n)], self._selectors, self._pfaffians, self.homogeneous)
+        section = copy(self)
+        section._entries = [cut[i : i + n] for i in range(0, len(cut), n)]
+        return section
 
 
 def minor_generators(M: PolyMatrix, t: int) -> MatrixGenerators:
@@ -469,7 +497,7 @@ def minor_generators(M: PolyMatrix, t: int) -> MatrixGenerators:
         raise DomainError(f"minor size {t} out of range for a {M.m}x{M.n} matrix")
     symmetric = M.kind is MatrixKind.SYMMETRIC
     selectors = [(r, c) for r, c in minor_selectors(M.m, M.n, t) if r <= c or not symmetric]
-    return MatrixGenerators(*_packed_entries(M, t), selectors, pfaffians=False, homogeneous=M.entry_degree is not None)
+    return MatrixGenerators(M, t, selectors, pfaffians=False)
 
 
 def enumerate_minors(M: PolyMatrix, t: int) -> list[Polynomial]:
@@ -485,7 +513,7 @@ def pfaffian_generators(M: PolyMatrix, two_t: int) -> MatrixGenerators:
         raise DomainError(f"pfaffian size must be even, got {two_t}")
     if not 2 <= two_t <= M.n:
         raise DomainError(f"pfaffian size {two_t} out of range for a {M.n}x{M.n} matrix")
-    return MatrixGenerators(*_packed_entries(M, two_t // 2), list(combinations(range(M.n), two_t)), pfaffians=True, homogeneous=M.entry_degree is not None)
+    return MatrixGenerators(M, two_t, list(combinations(range(M.n), two_t)), pfaffians=True)
 
 
 def enumerate_pfaffians(M: PolyMatrix, two_t: int) -> list[Polynomial]:

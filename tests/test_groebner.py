@@ -614,6 +614,57 @@ def route_taken(checks: list) -> str:
     return "full run"
 
 
+def spy_on_deferrals(monkeypatch) -> list:
+    """Record the pairs each height defers: the caller appends a list per
+    ideal, which receives the degree of each deferred pair."""
+    complete = groebner._DegreeCount.complete
+    deferrals: list = []
+
+    def spy(self, degree, reducers):
+        if complete(self, degree, reducers):
+            deferrals[-1].append(degree)
+            return True
+        return False
+
+    monkeypatch.setattr(groebner._DegreeCount, "complete", spy)
+    return deferrals
+
+
+def form_matrix(rng: random.Random, ring: PolyRing, kind: str, m: int, n: int, degree: int) -> PolyMatrix:
+    """A matrix of the kind whose free entries are random forms of the
+    degree: every monomial, with a coefficient drawn from all of GF(p), or
+    a nonzero one over QQ."""
+    monomials = list(_monomials_of_degree(ring.nvars, degree))
+    p = ring.field.p
+
+    def form():
+        return Polynomial(ring, {e: random_coeff(rng, ring.field) if p is None else rng.randrange(p) for e in monomials})
+
+    upper = {(i, j): form() for i in range(m) for j in range(n) if kind == "ordinary" or i < j or (kind == "symmetric" and i == j)}
+    if kind == "ordinary":
+        rows = [[upper[i, j] for j in range(n)] for i in range(m)]
+    elif kind == "symmetric":
+        rows = [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    else:
+        zero = ring.zero()
+        rows = [[upper[i, j] if i < j else (-upper[j, i] if i > j else zero) for j in range(n)] for i in range(n)]
+    return PolyMatrix(kind, rows)
+
+
+# (kind, m, n, minor size or Pfaffian size 2t, entry degree, variables
+# beyond the ceiling c): the runs of the first, third, fourth and fifth
+# defer pairs.  More variables, or larger shapes, make the full run over QQ
+# take many seconds.
+DEFERRAL_CASES = [
+    ("symmetric", 3, 3, 2, 3, 0),
+    ("symmetric", 4, 4, 3, 2, 0),
+    ("alternating", 5, 5, 4, 2, 0),
+    ("alternating", 5, 5, 4, 2, 1),
+    ("alternating", 6, 6, 4, 1, 1),
+    ("ordinary", 2, 4, 2, 2, 0),
+]
+
+
 class TestHeightCeiling:
     """The early exit of `IdealHandle.height` at the height ceiling."""
 
@@ -641,6 +692,19 @@ class TestHeightCeiling:
         # Runs stop on their generators, in the linear section, later in the
         # run, or not at all.
         assert {route_taken(checks) for checks in routes} >= {"generators", "section", "later", "full run"}
+        # Dense symmetric, alternating and quadric matrices in c, c + 1 or
+        # c + 2 variables, whose runs have a Hilbert target: in c variables
+        # the run on the generators, in more the section's.
+        deferrals = spy_on_deferrals(monkeypatch)
+        for kind, m, n, size, degree, extra in DEFERRAL_CASES:
+            c = expected_generic_height(kind, m, n, size)
+            ring = PolyRing(tuple(f"v{i}" for i in range(c + extra)), field=field, order=order)
+            I = ideal_of(form_matrix(rng, ring, kind, m, n, degree), size)
+            assert I._target is not None
+            deferrals.append([])
+            assert I.height() == full_run_height(I), (kind, m, n, size, degree, I.generators)
+        # Pairs are deferred in c variables and in the section alike.
+        assert {case[-1] for case, run in zip(DEFERRAL_CASES, deferrals) if run} == {0, 1}
 
     @pytest.mark.parametrize("m,n,ceiling", [(5, 8, 18), (6, 7, 20)])
     def test_generators_reach_large_ceilings_quickly(self, m, n, ceiling):
@@ -1005,6 +1069,131 @@ class TestLinearSection:
         assert {name for _, name in reads} == {"the linear section of minors(3)"}
 
 
+class TestDeferral:
+    """Pairs of a degree the Hilbert target says is complete are deferred,
+    never dropped, and the entry rule reads the generic count."""
+
+    def test_a_wrong_target_still_gives_the_full_runs_height(self, monkeypatch):
+        # Every degree looks complete at its first pair, so each pair is
+        # deferred until the heap empties; then the run reduces them with
+        # no target.  The probe's minors(3) and a linear alternating 6x6
+        # matrix's pfaffians(4) reach their ceiling 6 that way, which the
+        # stop proves, the repeated column's section misses it (height 4,
+        # the full run's in `test_a_repeated_column_section_misses_with_a_target`),
+        # and a quadric 2x3 matrix in c = 2 variables defers on the
+        # generators' run.
+        reduced = []
+        spair = groebner._spair
+        monkeypatch.setattr(groebner, "_spair", lambda *args: reduced.append(args[0]) or spair(*args))
+        monkeypatch.setattr(groebner._DegreeCount, "complete", lambda self, degree, reducers: True)
+        spied = spy_on_deferrals(monkeypatch)
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5)
+        repeated = PolyMatrix("ordinary", [[M.entry(i, min(j, 3)) for j in range(5)] for i in range(4)])
+        plane = PolyRing(("v0", "v1"), field=F32003)
+        quadrics = form_matrix(random.Random("wrong target"), plane, "ordinary", 2, 3, 2)
+        A = linear_matrix(random.Random("probe:alternating"), ring, "alternating", 6, 6)
+        cases = ((M, 3, 6), (repeated, 3, 4), (quadrics, 2, 2), (A, 4, 6))
+        for matrix, size, height in cases:
+            I = ideal_of(matrix, size)
+            assert I._target is not None
+            spied.append([])
+            reduced.clear()
+            assert I.height() == height
+            assert spied[-1] and reduced, (matrix, size)
+        # The heights are those of the full run.
+        monkeypatch.undo()
+        assert full_run_height(ideal_of_minors(quadrics, 2)) == 2
+
+    def test_a_repeated_column_section_misses_with_a_target(self, monkeypatch):
+        # minors(3) of the probe's matrix with its last column repeating the
+        # fourth is I_3 of a linear 4x4 matrix: height 4 below the ceiling 6.
+        # Its section has far fewer leading monomials per degree than the
+        # generic target, so no degree is complete and nothing is deferred;
+        # the section misses and the full run decides.
+        deferrals = spy_on_deferrals(monkeypatch)
+        routes = spy_on_routes(monkeypatch)
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5)
+        I = ideal_of_minors(PolyMatrix("ordinary", [[M.entry(i, min(j, 3)) for j in range(5)] for i in range(4)]), 3)
+        assert I._target is not None and I.ceiling == 6
+        routes.append([])
+        deferrals.append([])
+        assert I.height() == 4
+        assert route_taken(routes[-1]) == "full run" and (True, False) in routes[-1]
+        assert deferrals == [[]]
+        monkeypatch.undo()
+        assert full_run_height(I) == 4
+
+    def test_targets_go_to_minors_and_pfaffians_of_their_own_family(self):
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        rng = random.Random("families")
+        # At the generic bound: linear sections and c = nvars.
+        assert ideal_of_minors(linear_matrix(rng, ring, "ordinary", 4, 5), 3)._target.nvars == 6
+        assert ideal_of_minors(linear_matrix(rng, ring, "symmetric", 4, 4), 2)._target.nvars == 6
+        assert ideal_of_pfaffians(linear_matrix(rng, ring, "alternating", 6, 6), 4)._target.nvars == 6
+        assert ideal_of_minors(linear_matrix(rng, ring, "ordinary", 2, 5), 1)._target.nvars == 10
+        # Minors of an alternating matrix take the ordinary bound; a ceiling
+        # of nvars below the bound; entries of no common degree.
+        assert ideal_of_minors(linear_matrix(rng, ring, "alternating", 4, 4), 3)._target is None
+        assert ideal_of_minors(linear_matrix(rng, ring, "ordinary", 4, 5), 2)._target is None
+        v0, v1 = ring.gens()[:2]
+        assert ideal_of_minors(PolyMatrix("ordinary", [[v0, v1 * v1], [v1, v0]]), 2)._target is None
+        assert IdealHandle([v0 * v1])._target is None
+
+    def test_more_selectors_than_generic_generators_skip_the_section_first_attempt(self, monkeypatch):
+        # minors(2) of a linear symmetric 4x4 matrix in 8 variables, as the
+        # benchmark's lin-sym-4x4-d8-t3: 21 selectors with rows <= cols,
+        # but the generic 2x2 minors span 20 dimensions, and a linear
+        # relation among them holds in every specialization.  So the cut
+        # matrix is not tested for independence, and the generators go first.
+        independence_tests = []
+        echelon = groebner._echelon
+
+        def spy(*args, **kw):
+            if kw.get("independent"):
+                independence_tests.append(args)
+            return echelon(*args, **kw)
+
+        monkeypatch.setattr(groebner, "_echelon", spy)
+        routes = spy_on_routes(monkeypatch)
+        ring = PolyRing(tuple(f"v{i}" for i in range(8)), field=F32003)
+        M = linear_matrix(random.Random("lin-sym-4x4-d8"), ring, "symmetric", 4, 4, density=1.0)
+        gens = minor_generators(M, 2)
+        assert (gens.selector_count, groebner._model(gens).count) == (21, 20)
+        I = ideal_of_minors(M, 2)
+        assert (I.ceiling, I.generator_count, I._section) == (6, 20, None)
+        routes.append([])
+        assert I.height() == 6
+        assert routes[-1][0][0] is False  # the first check is on the generators
+        assert independence_tests == []
+        # With as many selectors as generic generators, the cut matrix is tested.
+        ideal_of_minors(M, 3)
+        assert len(independence_tests) == 1
+
+    def test_the_hilbert_target_reads_the_clock(self, monkeypatch):
+        # The numerator recursion and the count of leading monomials per
+        # degree read the clock under `Hilbert target`, named after the
+        # section their run is on.  A fresh memo makes the numerator anew.
+        monkeypatch.setattr(groebner, "_MODELS", {})
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5)
+        I = ideal_of_minors(M, 3)
+        expected = r"during Hilbert target of the linear section of minors\(3\)$"
+        for owner, name in ((groebner._Model, "numerator"), (groebner._DegreeCount, "_level")):
+            original = getattr(owner, name)
+
+            def expiring(*args, original=original):
+                with time_limit(0.0):
+                    return original(*args)
+
+            monkeypatch.setattr(owner, name, expiring)
+            with pytest.raises(ComputationTimeout, match=expected):
+                I.height()
+            monkeypatch.setattr(owner, name, original)
+        assert I.height() == 6
+
+
 def random_generators(rng: random.Random, ring: PolyRing) -> list:
     """Generators of a random ideal: forms, polynomials of mixed degree, or
     either with a constant (the unit ideal) or all zero (the zero ideal)."""
@@ -1288,6 +1477,17 @@ def independent_by_tuples(polys, ring):
 CALLS = Path(__file__).resolve().parents[1] / "tools" / "calls"
 # Problem files that exist to time out: their full expansions run for minutes.
 TIMEOUT_PROBLEMS = {"alternating-16x16.json", "power-30.json"}
+# The inputs of `limits.txt`, whose minors take the tuple-keyed filter
+# minutes and far more memory than the rest together.
+LIMIT_PROBLEMS = {
+    "linear-5x5-d12.json",
+    "linear-4x6-d14.json",
+    "linear-4x5-d10-qq.json",
+    "linear-symmetric-5x5-d10.json",
+    "linear-alternating-7x7-d12.json",
+    "quadrics-3x4.json",
+    "linear-4x5-d10-repeated-column.json",
+}
 
 
 def calls_ideals():
@@ -1295,7 +1495,7 @@ def calls_ideals():
     `tools/calls` problem files, over their fields and in both orders, and
     of the ideals in `generic-heights.txt`, packed."""
     for path in sorted((CALLS / "problems").glob("*.json")):
-        if path.name in TIMEOUT_PROBLEMS:
+        if path.name in TIMEOUT_PROBLEMS | LIMIT_PROBLEMS:
             continue
         pf = cli.load_problem(path)
         for order in MonomialOrder:
@@ -1371,3 +1571,121 @@ class TestLowerIdealCache:
         with pytest.raises(GenericHeightError, match="height 0, expected 2"):
             cache.require_generic(2)
         LowerIdealCache(generic_matrix(2, 3, "ordinary", field=F32003)).require_generic(2)
+
+
+def model_of(kind: str, m: int, n: int, size: int, field: FieldSpec):
+    """The generic model of t x t minors, or of size x size Pfaffians of an
+    alternating matrix, of the shape."""
+    M = generic_matrix(m, n, kind, field=field)
+    return groebner._model(pfaffian_generators(M, size) if kind == "alternating" else minor_generators(M, size))
+
+
+def h_vector(numerator: list[int], codim: int) -> list[int]:
+    """numerator / (1 - T)^codim, which must divide it, trailing zeros cut."""
+    h = list(numerator)
+    for _ in range(codim):
+        # Divide by 1 - T: the quotient's coefficients are the partial sums.
+        assert sum(h) == 0, numerator
+        h = [sum(h[: i + 1]) for i in range(len(h) - 1)]
+    while h and h[-1] == 0:
+        h.pop()
+    return h
+
+
+def conca_herzog_h(m: int, n: int, t: int) -> list[int]:
+    """The h-vector of the generic determinantal ring of t x t minors of an
+    m x n matrix: z^(-C(r,2)) det(sum_k C(m-i,k) C(n-j,k) z^k), r = t - 1,
+    i, j = 1..r (Conca and Herzog), by exact elimination over QQ."""
+    r = t - 1
+
+    def entry(i, j):
+        return [comb(m - i, k) * comb(n - j, k) for k in range(min(m - i, n - j) + 1)]
+
+    def det(rows):  # a matrix of polynomials in z, by cofactor expansion
+        if not rows:
+            return [1]
+        total = [0]
+        for j, head in enumerate(rows[0]):
+            minor = det([row[:j] + row[j + 1 :] for row in rows[1:]])
+            term = groebner._poly_mul(head, minor)
+            total = groebner._poly_add(total, [-c for c in term] if j % 2 else term)
+        return total
+
+    h = det([[entry(i, j) for j in range(1, r + 1)] for i in range(1, r + 1)])[comb(r, 2) :]
+    while h and h[-1] == 0:
+        h.pop()
+    return h
+
+
+class TestHilbertNumerator:
+    """The Hilbert numerator of the generic models against closed forms."""
+
+    def test_small_monomial_ideals(self):
+        # (x y) in any ring: 1 - T^2.  (x^2, x y): N = 1 - 2T^2 + T^3.
+        # (x, y) and (x^2, y^3): regular sequences.  The zero ideal: 1.
+        numerator = lambda monomials: groebner._hilbert_numerator(monomials, "test")
+        assert numerator([(1, 1, 0)]) == [1, 0, -1]
+        assert numerator([(2, 0), (1, 1)]) == [1, 0, -2, 1]
+        assert numerator([(1, 0), (0, 1)]) == [1, -2, 1]
+        assert numerator([(2, 0), (0, 3)]) == [1, 0, -1, -1, 0, 1]
+        assert numerator([]) == [1]
+        # Repeats and non-minimal generators change nothing.
+        assert numerator([(2, 0), (1, 1), (2, 1), (1, 1)]) == [1, 0, -2, 1]
+
+    def test_numerator_matches_a_count_of_standard_monomials(self):
+        rng = random.Random("hilbert numerator")
+        for trial in range(40):
+            nvars = rng.randint(1, 4)
+            gens = [tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 5))]
+            gens = [g for g in gens if any(g)] or [(1,) + (0,) * (nvars - 1)]
+            N = groebner._hilbert_numerator(gens, "test")
+            for D in range(9):
+                standard = sum(
+                    1
+                    for e in _monomials_of_degree(nvars, D)
+                    if not any(all(a >= b for a, b in zip(e, g)) for g in gens)
+                )
+                hf = sum(a * comb(D - k + nvars - 1, nvars - 1) for k, a in enumerate(N) if k <= D)
+                assert hf == standard, (gens, D)
+
+    @pytest.mark.parametrize("field", [F32003, FieldSpec.prime(2)], ids=["gf32003", "gf2"])
+    @pytest.mark.parametrize("m,n,t", [(2, 3, 2), (2, 5, 2), (3, 3, 2), (3, 4, 2), (3, 4, 3), (3, 5, 3), (4, 4, 3), (4, 5, 3), (4, 5, 4)])
+    def test_ordinary_h_vectors_match_conca_herzog(self, field, m, n, t):
+        model = model_of("ordinary", m, n, t, field)
+        assert h_vector(model.numerator(), (m - t + 1) * (n - t + 1)) == conca_herzog_h(m, n, t)
+
+    def test_conca_herzog_reference(self):
+        # The twisted cubic and the rank <= 2 locus of 5x5 matrices.
+        assert conca_herzog_h(2, 3, 2) == [1, 2]
+        assert conca_herzog_h(5, 5, 3) == [1, 9, 45, 65, 45, 9, 1]
+
+    @pytest.mark.parametrize("field", [F32003, FieldSpec.prime(2)], ids=["gf32003", "gf2"])
+    def test_degrees_match_known_varieties(self, field):
+        # h(1) is the degree: G(2, n) for Pf_4 (the Catalan numbers), the
+        # Veronese 2^(n-1) for symmetric rank <= 1, and 10 and 35 for
+        # symmetric rank <= 2 at n = 4 and 5.
+        for n, degree in zip(range(5, 9), (5, 14, 42, 132)):
+            assert sum(h_vector(model_of("alternating", n, n, 4, field).numerator(), comb(n - 2, 2))) == degree
+        for n, t, degree in ((4, 2, 8), (5, 2, 16), (4, 3, 10), (5, 3, 35)):
+            assert sum(h_vector(model_of("symmetric", n, n, t, field).numerator(), comb(n - t + 2, 2))) == degree
+
+    @pytest.mark.parametrize("field", [F32003, FieldSpec.prime(2)], ids=["gf32003", "gf2"])
+    def test_generic_counts_match_lemma_4_4(self, field):
+        # README, Lemma 4.4a/b/c: C(m,t) C(n,t); C(n+1,t+1) C(n+1,t)/(n+1); C(n,2t).
+        for m, n, t in ((2, 3, 2), (3, 4, 2), (4, 5, 3), (3, 5, 3)):
+            assert model_of("ordinary", m, n, t, field).count == comb(m, t) * comb(n, t)
+        for n in range(2, 6):
+            for t in range(1, n + 1):
+                assert model_of("symmetric", n, n, t, field).count == comb(n + 1, t + 1) * comb(n + 1, t) // (n + 1)
+        for n in range(4, 8):
+            for two_t in range(2, n + 1, 2):
+                assert model_of("alternating", n, n, two_t, field).count == comb(n, two_t)
+
+
+def _monomials_of_degree(nvars: int, degree: int):
+    if nvars == 1:
+        yield (degree,)
+        return
+    for first in range(degree + 1):
+        for rest in _monomials_of_degree(nvars - 1, degree - first):
+            yield (first,) + rest
