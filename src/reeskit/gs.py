@@ -51,15 +51,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", MatrixKind(self.kind))
-        if self.kind in (MatrixKind.SYMMETRIC, MatrixKind.ALTERNATING):
-            if self.m != self.n:
-                raise DomainError(f"{self.kind.value} instance must have m = n, got {self.m}x{self.n}")
-        if self.kind is MatrixKind.ALTERNATING:
-            if not 1 <= self.t or not self.size <= self.n:
-                raise DomainError(f"need 2 <= 2t <= n, got 2t={self.size}, n={self.n}")
-        else:
-            if not 1 <= self.t <= self.m <= self.n:
-                raise DomainError(f"need 1 <= t <= m <= n, got t={self.t}, m={self.m}, n={self.n}")
+        _check_shape(self.kind, self.m, self.n, self.t)
         if self.d < 1:
             raise DomainError(f"ambient variable count d must be >= 1, got {self.d}")
         if self.delta < 0:
@@ -83,9 +75,11 @@ class ProblemInstance:
         Requires a uniform homogeneous entry degree.  I_t(M) = I_t(M^T), so
         a matrix with more rows than columns is read as its transpose.
         """
+        m, n = sorted((M.m, M.n))
+        # The shape first: a matrix too small for t may be the zero matrix.
+        _check_shape(M.kind, m, n, t)
         if M.entry_degree is None:
             raise DomainError("matrix entries are not homogeneous of one common degree")
-        m, n = sorted((M.m, M.n))
         return cls(
             kind=M.kind,
             m=m,
@@ -95,6 +89,18 @@ class ProblemInstance:
             delta=M.entry_degree,
             char=M.ring.field.characteristic,
         )
+
+
+def _check_shape(kind: MatrixKind, m: int, n: int, t: int) -> None:
+    """Raise DomainError unless the kind, the m x n shape (m <= n) and t fit."""
+    if kind in (_SYM, _ALT) and m != n:
+        raise DomainError(f"{kind.value} instance must have m = n, got {m}x{n}")
+    if kind is _ALT:
+        size = LowerIdealCache.ideal_at(kind, t)[1]
+        if not 1 <= t or not size <= n:
+            raise DomainError(f"need 2 <= 2t <= n, got 2t={size}, n={n}")
+    elif not 1 <= t <= m <= n:
+        raise DomainError(f"need 1 <= t <= m <= n, got t={t}, m={m}, n={n}")
 
 
 def matching(rules, inst: ProblemInstance):

@@ -307,6 +307,13 @@ class TestRun:
         assert code == 1
         assert "square" in capsys.readouterr().err
 
+    def test_generic_alternating_too_small_for_t_names_the_shape(self, capsys):
+        # The generic alternating 1x1 matrix is zero, so it has no entry
+        # degree either; the shape is the fault, and it is checked first.
+        code = run(["generic", "--kind", "alternating", "--n", "1", "--t", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need 2 <= 2t <= n, got 2t=2, n=1\n"
+
     def test_analyze_with_bounds_request(self, tmp_path, capsys):
         doc = dict(TWO_BY_THREE, requested=[{"analysis": "bounds", "k": "1..2"}])
         code = run(["analyze", write_problem(tmp_path, doc)])

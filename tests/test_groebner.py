@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -1524,6 +1525,123 @@ class TestIndependenceFilter:
             assert len({r.leading_monomial() for r in rows}) == len(rows), label
             dropped += len(polys) - len(kept)
         assert dropped >= 700
+
+
+def random_rows(rng: random.Random, p: int, columns: list[int], count: int, fill: float, dependent: bool) -> list[dict]:
+    """`count` rows over GF(p) on the monomials `columns`: each a random row
+    holding each column with probability `fill`, or, when `dependent`, also
+    an empty row or a combination of up to three rows before it."""
+    rows = []
+    for _ in range(count):
+        draw = rng.random() if dependent else 1.0
+        if draw < 0.1:
+            rows.append({})
+        elif draw < 0.35 and rows:
+            combination = {}
+            for row in rng.sample(rows, min(3, len(rows))):
+                factor = rng.randrange(1, p)
+                for m, c in row.items():
+                    combination[m] = (combination.get(m, 0) + factor * c) % p
+            rows.append({m: c for m, c in combination.items() if c})
+        else:
+            rows.append({m: rng.randrange(1, p) for m in columns if rng.random() < fill})
+    return rows
+
+
+def dict_path(rows: list[dict], field: FieldSpec) -> None:
+    """The column rule of `_echelon` and `_cleared` that keeps dict rows."""
+    return None
+
+
+def packed_path(rows: list[dict], field: FieldSpec) -> list[int]:
+    """The column rule that packs the rows whatever their fill."""
+    return sorted(set().union(*rows))
+
+
+class TestDenseRows:
+    """`_echelon` and `_cleared` on rows packed into ints, against the dict
+    rows they replace."""
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, 2**61 - 1], ids=["gf2", "gf3", "prime", "mersenne61"])
+    def test_packed_rows_equal_dict_rows(self, p, monkeypatch):
+        field = FieldSpec.prime(p)
+        rng = random.Random(f"dense rows:{p}")
+        entered = []
+        for name in ("_dense_echelon", "_dense_cleared"):
+            original = getattr(groebner, name)
+            monkeypatch.setattr(groebner, name, lambda *args, original=original, name=name: entered.append(name) or original(*args))
+        reads = []
+        monkeypatch.setattr(groebner, "check_deadline", reads.append)
+        # `_cleared` reads the clock at every 256th row; every 2nd here, so
+        # that these small calls read it at all.
+        monkeypatch.setattr(groebner, "_DEADLINE_EVERY_GENERATORS", 2)
+        outcomes = set()
+        for trial in range(80):
+            columns = rng.sample(range(1 << 40), rng.choice((1, 4, 20, 70)))
+            rows = random_rows(rng, p, columns, rng.randint(1, len(columns) + 6), rng.choice((0.05, 0.3, 0.9, 1.0)), rng.random() < 0.7)
+            every, independent = rng.choice((1, 2, 5)), rng.random() < 0.4
+            results, counts = [], []
+            for rule in (dict_path, packed_path):
+                monkeypatch.setattr(groebner, "_columns", rule)
+                reads.clear()
+                echelon = groebner._echelon(rows, field, "independence filter", every, independent)
+                pivots = groebner._echelon(rows, field, "independence filter")
+                # Rows that are not monic, in no order, the same on both paths.
+                draw = random.Random(trial)
+                scaled = [{m: c * factor % p for m, c in row.items()} for row, factor in zip(pivots, (draw.randrange(1, p) for _ in pivots))]
+                draw.shuffle(scaled)
+                cleared = groebner._cleared(scaled, field, "Buchberger set-up") if scaled else []
+                results.append((echelon, pivots, cleared))
+                counts.append(len(reads))
+            assert results[0] == results[1], trial
+            # The packed path reads the clock at least as often.
+            assert counts[1] >= counts[0], trial
+            outcomes.add((independent, results[0][0] is None))
+        assert set(entered) == {"_dense_echelon", "_dense_cleared"}
+        assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_dense_linear_minors_take_the_packed_path(self, monkeypatch):
+        # The 2-minors of a dense linear 4x5 matrix in 10 variables: 60
+        # quadrics of 55 monomials, 55 of them independent.
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5, density=1.0)
+        decisions = []
+        columns = groebner._columns
+        monkeypatch.setattr(groebner, "_columns", lambda rows, field: decisions.append(columns(rows, field)) or decisions[-1])
+        assert ideal_of_minors(M, 2).generator_count == 55
+        assert [len(d) for d in decisions] == [55]
+
+    def test_generic_symmetric_minors_take_the_dict_path(self, monkeypatch):
+        # The 2,485 4-minors of a generic symmetric 8x8 matrix fill 0.07 %
+        # of their 32,655 columns.
+        decisions = []
+        columns = groebner._columns
+        monkeypatch.setattr(groebner, "_columns", lambda rows, field: decisions.append((len(rows), columns(rows, field))) or decisions[-1][1])
+        M = generic_matrix(8, 8, "symmetric", field=F32003)
+        assert ideal_of_minors(M, 4).generator_count == 1764
+        assert decisions == [(2485, None)]
+
+    def test_rationals_take_the_dict_path(self):
+        rows = [{1: Fraction(1, 2), 0: Fraction(1)}, {1: Fraction(3), 0: Fraction(2)}]
+        assert groebner._columns(rows, FieldSpec.rationals()) is None
+        assert groebner._columns(rows, F32003) == [0, 1]
+
+    def test_a_timeout_in_the_packed_path_names_its_stage(self, monkeypatch):
+        ring = PolyRing(tuple(f"v{i}" for i in range(10)), field=F32003)
+        M = linear_matrix(random.Random("probe"), ring, "ordinary", 4, 5, density=1.0)
+        minors = minor_generators(M, 2).expand()
+        dense_echelon = groebner._dense_echelon
+
+        def expiring(*args):
+            with time_limit(0.0):
+                return dense_echelon(*args)
+
+        monkeypatch.setattr(groebner, "_dense_echelon", expiring)
+        with pytest.raises(ComputationTimeout, match=r"during independence filter of minors\(2\)$") as stopped:
+            with ideal_named("minors(2)"):
+                groebner._independent(minors)
+        assert stopped.traceback[-1].name == "check_deadline"
+        assert stopped.traceback[-2].name in ("tails", "_dense_echelon")
 
 
 class TestLowerIdealCache:
