@@ -621,7 +621,7 @@ def run(argv) -> int:
         limit = contextlib.nullcontext() if args.timeout is None else groebner.time_limit(args.timeout)
         with limit:
             if args.command != "generic":
-                # Parsing the entries multiplies polynomials: the limit bounds it too.
+                # Parsing multiplies parenthesized factors and raises powers: the limit bounds it too.
                 M = build_matrix(pf, field, order)
             report = _run_analyses(M, t, requests)
 

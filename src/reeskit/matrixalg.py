@@ -13,13 +13,17 @@ adjoint is the alternating matrix whose (i, j) entry, i < j, is
 (-1)^(i+j) times the Pfaffian of the matrix with rows and columns i, j
 deleted; it satisfies pfadj(M)*M = Pf(M)*I.
 
-Packing happens once, at the matrix.  Each entry is packed into the int
-monomials of module `packed` (`_packed_entries`), and `_Expansion`
-multiplies dicts of them, a term product being one int sum.  The width
-comes from a degree bound, which is also the proof that nothing
-overflows: a t x t minor or a 2t x 2t Pfaffian is a sum of products of t
-entries, so each exponent of every term formed is at most t*e, e the
-largest exponent among the entries, and the packing has room for 2*t*e.
+Packing happens once, at the matrix.  A PolyMatrix packs its entries into
+the int monomials of module `packed` the first time it is expanded
+(`_packed_entries`), and every minor and Pfaffian size, `determinant`,
+`pfaffian`, the adjoints and the cut matrix read that one packing and
+those entry dicts, which nothing writes.  `_Expansion` multiplies the
+dicts, a term product being one int sum.  The width comes from a degree
+bound, which is also the proof that nothing overflows: a t x t minor or a
+2t x 2t Pfaffian is a sum of products of t entries, and t <= min(m, n)
+(t = n for a determinant, n - 1 for an adjoint, n/2 for a Pfaffian), so
+each exponent of every term formed is at most min(m, n)*e, e the largest
+exponent among the entries, and the packing has room for 2*min(m, n)*e.
 Cutting terms from the entries lowers no bound, so the minors of a cut
 matrix (`MatrixGenerators.cut`) share the packing.  `MatrixGenerators`
 hands the packed polynomials to `groebner` as they are, and
@@ -80,7 +84,7 @@ class PolyMatrix:
     any degree), otherwise None; it is None for the zero matrix.
     """
 
-    __slots__ = ("kind", "ring", "_rows", "m", "n", "entry_degree")
+    __slots__ = ("kind", "ring", "_rows", "m", "n", "entry_degree", "_packed")
 
     def __init__(self, kind, entries: Iterable[Iterable[Polynomial]], ring: PolyRing | None = None):
         kind = _as_kind(kind)
@@ -120,6 +124,7 @@ class PolyMatrix:
         self.m = m
         self.n = n
         self.entry_degree = self._common_degree()
+        self._packed = None  # `_packed_entries`, made on first use
 
     def _common_degree(self) -> int | None:
         finite: set[int] = set()
@@ -216,15 +221,21 @@ def generic_matrix(
 # -- the packed expansion ----------------------------------------------------
 
 
-def _packed_entries(M: PolyMatrix, size: int) -> tuple[Packed, list[list[dict]]]:
-    """The packing of an expansion of M whose products have `size` entries
-    (t for a t x t minor and for a 2t x 2t Pfaffian), as a `Packed` with no
-    polynomials, and M's entries packed into it.  It has room for twice
-    `size` times the largest entry exponent, so no product is guard-tested
-    (the module docstring has the proof)."""
-    top = max((max(m, default=0) for row in M.rows for e in row for m in e.terms), default=0)
-    packing = MonomialPacking.with_room(M.ring, size * top)
-    return Packed(M.ring, packing, []), [[{packing.pack(m): c for m, c in e.terms.items()} for e in row] for row in M.rows]
+def _packed_entries(M: PolyMatrix) -> tuple[Packed, list[list[dict]]]:
+    """The packing of every expansion of M, as a `Packed` with no
+    polynomials, and M's entries packed into it: made at the first call and
+    kept on M, so all its minors, Pfaffians, adjoints and cuts share one
+    packing and the same entry dicts, which nothing writes.  It has room for
+    twice min(m, n) times the largest entry exponent, so no product is
+    guard-tested (the module docstring has the proof).  Packing reads no
+    clock; the expansions that follow do.  Threads that race on the first
+    call each pack M and the last result is kept; either is exact."""
+    if M._packed is None:
+        top = max((max(m, default=0) for row in M.rows for e in row for m in e.terms), default=0)
+        packing = MonomialPacking.with_room(M.ring, min(M.m, M.n) * top)
+        entries = [[{packing.pack(m): c for m, c in e.terms.items()} for e in row] for row in M.rows]
+        M._packed = (Packed(M.ring, packing, []), entries)
+    return M._packed
 
 
 class _Expansion:
@@ -337,7 +348,7 @@ def determinant(M: PolyMatrix) -> Polynomial:
     if M.n == 0:
         return M.ring.one()
     full = tuple(range(M.n))
-    ex = _Expansion(*_packed_entries(M, M.n), _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M), _ARITHMETIC)
     return ex.packed.polynomial(ex.minor(full, full))
 
 
@@ -351,7 +362,7 @@ def classical_adjoint(M: PolyMatrix) -> PolyMatrix:
         return PolyMatrix(MatrixKind.ORDINARY, (), ring=ring)
     if n == 1:
         return PolyMatrix(MatrixKind.ORDINARY, [[ring.one()]], ring=ring)
-    ex = _Expansion(*_packed_entries(M, n - 1), _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M), _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -375,7 +386,7 @@ def _require_alternating_even(M: PolyMatrix, op: str):
 def pfaffian(M: PolyMatrix) -> Polynomial:
     """Pf(M) by recursive Laplace expansion; Pf of the empty matrix is 1."""
     _require_alternating_even(M, "pfaffian")
-    ex = _Expansion(*_packed_entries(M, M.n // 2), _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M), _ARITHMETIC)
     return ex.packed.polynomial(ex.pfaffian(tuple(range(M.n))))
 
 
@@ -384,7 +395,7 @@ def pfaffian_adjoint(M: PolyMatrix) -> PolyMatrix:
     _require_alternating_even(M, "pfaffian adjoint")
     n = M.n
     ring = M.ring
-    ex = _Expansion(*_packed_entries(M, max(n // 2 - 1, 0)), _ARITHMETIC)
+    ex = _Expansion(*_packed_entries(M), _ARITHMETIC)
     out = [[ring.zero()] * n for _ in range(n)]
     all_idx = range(n)
     for i in range(n):
@@ -409,8 +420,8 @@ def minor_selectors(m: int, n: int, t: int) -> list[tuple[tuple[int, ...], tuple
 class MatrixGenerators:
     """The t x t minors, or the 2t x 2t Pfaffians, of one matrix, as packed
     polynomials in selector order, expanded on demand (`expand`) from the
-    matrix's entries, which `minor_generators` and `pfaffian_generators`
-    pack once.
+    matrix's packed entries (`_packed_entries`), which every family of the
+    matrix shares.
 
     They carry what the generic model of their ideal is read from: the
     matrix's `kind` and `shape` (m, n), the minor or Pfaffian `size` (t or
@@ -437,7 +448,7 @@ class MatrixGenerators:
     __slots__ = ("packed", "kind", "shape", "size", "pfaffians", "degree", "_entries", "_selectors")
 
     def __init__(self, M: PolyMatrix, size: int, selectors: list, pfaffians: bool):
-        self.packed, self._entries = _packed_entries(M, size // 2 if pfaffians else size)
+        self.packed, self._entries = _packed_entries(M)
         self.kind = M.kind
         self.shape = (M.m, M.n)
         self.size = size

@@ -53,6 +53,7 @@ is set exactly when e_i > 0.
 
 from __future__ import annotations
 
+from operator import lshift
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
@@ -109,7 +110,7 @@ class MonomialPacking:
     def pack(self, m: Monomial) -> int:
         if max(m, default=0) > self.max_exponent:
             raise PackingOverflow(f"exponent {max(m)} exceeds the packed maximum {self.max_exponent}")
-        x = sum(e << s for e, s in zip(m, self._shifts))
+        x = sum(map(lshift, m, self._shifts))
         if self._top is None:
             return x
         return (sum(m) << self._top) + self.offset - x

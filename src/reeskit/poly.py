@@ -23,16 +23,23 @@ Text grammar (whitespace insignificant, one optional leading sign)::
     term   := factor ('*' factor)*
     factor := base ('^' NAT)?
     base   := NAT | NAT '/' NAT | IDENT | '(' expr ')'
+
+Parentheses nest at most 256 deep: a '(' past that is a parse error at its
+column.  Parsing reads the clock only in `Polynomial` arithmetic, under
+`polynomial arithmetic`: the products and powers of parenthesized factors
+and the powers of numbers.  A term of numbers, fractions, variables and
+their powers is built as one monomial and reads none.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add, itemgetter
 from types import MappingProxyType
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .deadline import check_deadline
 from .errors import DomainError, PolyParseError, RingMismatchError
@@ -176,13 +183,15 @@ class PolyRing:
 
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
-        seen = set()
+        index: dict[str, int] = {}
         for v in self.variables:
             if not v or not (v[0].isalpha() or v[0] == "_") or not all(c.isalnum() or c == "_" for c in v):
                 raise DomainError(f"invalid variable name {v!r}")
-            if v in seen:
+            if v in index:
                 raise DomainError(f"duplicate variable name {v!r}")
-            seen.add(v)
+            index[v] = len(index)
+        # Each variable's position, read by `var` and `parse_poly`.
+        object.__setattr__(self, "_index", index)
 
     @property
     def nvars(self) -> int:
@@ -203,12 +212,10 @@ class PolyRing:
         return Polynomial(self, terms, _clean=True)
 
     def var(self, name: str) -> "Polynomial":
-        try:
-            i = self.variables.index(name)
-        except ValueError:
-            raise DomainError(f"unknown variable {name!r} in ring {self.variables}") from None
+        if name not in self._index:
+            raise DomainError(f"unknown variable {name!r} in ring {self.variables}")
         exps = [0] * self.nvars
-        exps[i] = 1
+        exps[self._index[name]] = 1
         return Polynomial(self, {tuple(exps): self.field.coerce(1)}, _clean=True)
 
     def gens(self) -> tuple["Polynomial", ...]:
@@ -473,147 +480,131 @@ def format_poly(p: Polynomial) -> str:
 
 # -- parsing -------------------------------------------------------------
 
-
-class _Token(NamedTuple):
-    kind: str  # NAT | IDENT | OP | END
-    value: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("NAT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ring: PolyRing):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.ring = ring
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "OP" or tok.value != op:
-            raise PolyParseError(f"expected {op!r}, found {tok.value or 'end of input'!r}", tok.pos)
-        return self.take()
-
-    def parse(self) -> Polynomial:
-        poly = self.parse_expr()
-        tok = self.peek()
-        if tok.kind != "END":
-            raise PolyParseError(f"unexpected trailing {tok.value!r}", tok.pos)
-        return poly
-
-    def parse_expr(self) -> Polynomial:
-        tok = self.peek()
-        negate = False
-        if tok.kind == "OP" and tok.value in "+-":
-            self.take()
-            negate = tok.value == "-"
-        poly = self.parse_term()
-        if negate:
-            poly = -poly
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in "+-":
-                self.take()
-                rhs = self.parse_term()
-                poly = poly - rhs if tok.value == "-" else poly + rhs
-            else:
-                return poly
-
-    def parse_term(self) -> Polynomial:
-        poly = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "*":
-                self.take()
-                poly = poly * self.parse_factor()
-            elif tok.kind in ("NAT", "IDENT") or (tok.kind == "OP" and tok.value == "("):
-                # Juxtaposition is not multiplication here.
-                raise PolyParseError(f"missing '*' before {tok.value!r}", tok.pos)
-            else:
-                return poly
-
-    def parse_factor(self) -> Polynomial:
-        poly = self.parse_base()
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "^":
-            self.take()
-            exp = self.peek()
-            if exp.kind != "NAT":
-                raise PolyParseError(f"expected exponent, found {exp.value or 'end of input'!r}", exp.pos)
-            self.take()
-            poly = poly ** int(exp.value)
-        return poly
-
-    def parse_base(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "NAT":
-            self.take()
-            num = int(tok.value)
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.value == "/":
-                self.take()
-                den_tok = self.peek()
-                if den_tok.kind != "NAT":
-                    raise PolyParseError(f"expected denominator, found {den_tok.value or 'end of input'!r}", den_tok.pos)
-                self.take()
-                den = int(den_tok.value)
-                if den == 0:
-                    raise PolyParseError("zero denominator", den_tok.pos)
-                p = self.ring.field.p
-                if p is not None and den % p == 0:
-                    raise PolyParseError(f"denominator {den} is divisible by the modulus {p}", den_tok.pos)
-                return self.ring.constant(Fraction(num, den))
-            return self.ring.constant(num)
-        if tok.kind == "IDENT":
-            self.take()
-            if tok.value not in self.ring.variables:
-                raise PolyParseError(f"unknown identifier {tok.value!r}", tok.pos)
-            return self.ring.var(tok.value)
-        if tok.kind == "OP" and tok.value == "(":
-            self.take()
-            poly = self.parse_expr()
-            self.expect_op(")")
-            return poly
-        raise PolyParseError(f"expected a number, variable, or '(', found {tok.value or 'end of input'!r}", tok.pos)
+# A token: a run of decimal digits, a run of word characters, or any other
+# character but whitespace, which `findall` skips.  `\d`, `\w` and `\s` are
+# `str.isdecimal`, `isalnum` or "_", and `isspace`.  A word token must start
+# with a letter or "_" (checked in `parse_poly`), so `²x` is an unexpected
+# character, not an identifier.
+_TOKEN = re.compile(r"\d+|\w+|\S")
+_OPERATORS = frozenset("+-*^()/")
+# The nesting bound of the grammar docstring.
+_MAX_NESTING = 256
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
-    """Parse the grammar above into a canonical polynomial of `ring`."""
-    return _Parser(text, ring).parse()
+    """Parse the grammar above into a canonical polynomial of `ring`.
+
+    Each sum, the whole text or one in parentheses, is added into one dict
+    in place, dropping zeros as `Polynomial.__add__` does, so the terms come
+    out in the order that adding the terms one by one gives.  A term whose
+    factors are numbers, fractions, variables and their powers is one
+    monomial with one coefficient.  Only parenthesized factors, their
+    powers and the powers of numbers use `Polynomial` arithmetic, the one
+    place that reads the clock (the module docstring).
+    """
+    tokens = _TOKEN.findall(text)
+    for k, tok in enumerate(tokens):
+        ch = tok[0]
+        if ch not in _OPERATORS and not (ch.isdecimal() or ch.isalpha() or ch == "_"):
+            _fail(text, f"unexpected character {ch!r}", k)
+    tokens.append("")
+    field, index = ring.field, ring._index
+    p, mod, nvars = field.p, field.modulus, ring.nvars
+
+    def expect(k: int, what: str) -> int:
+        """The NAT at token k, or a parse error naming `what`."""
+        if not tokens[k][:1].isdecimal():
+            _fail(text, f"expected {what}, found {tokens[k] or 'end of input'!r}", k)
+        return int(tokens[k])
+
+    def expression(k: int, depth: int) -> tuple[dict, int]:
+        """The terms of the sum from token k, and the index after it."""
+        terms: dict[Monomial, object] = {}
+        negate = tokens[k] == "-"
+        if negate or tokens[k] == "+":
+            k += 1
+        while True:
+            c, exps, group = 1, [0] * nvars, None
+            while True:
+                tok = tokens[k]
+                start, k = k, k + 1
+                if tok[:1].isdecimal():
+                    v = int(tok)
+                    if tokens[k] == "/":
+                        d = expect(k + 1, "denominator")
+                        if d == 0:
+                            _fail(text, "zero denominator", k + 1)
+                        if p is not None and d % p == 0:
+                            _fail(text, f"denominator {d} is divisible by the modulus {p}", k + 1)
+                        v = Fraction(v, d) if p is None else v * pow(d, -1, p)
+                        k += 2
+                    if tokens[k] == "^":
+                        v = next(iter((ring.constant(v) ** expect(k + 1, "exponent")).terms.values()), 0)
+                        k += 2
+                    c *= v
+                elif tok in index:
+                    if tokens[k] == "^":
+                        exps[index[tok]] += expect(k + 1, "exponent")
+                        k += 2
+                    else:
+                        exps[index[tok]] += 1
+                elif tok == "(":
+                    if depth == _MAX_NESTING:
+                        _fail(text, f"parentheses nested deeper than {_MAX_NESTING}", start)
+                    sub, k = expression(k, depth + 1)
+                    if tokens[k] != ")":
+                        _fail(text, f"expected ')', found {tokens[k] or 'end of input'!r}", k)
+                    g = Polynomial(ring, sub, _clean=True)
+                    if tokens[k + 1] == "^":
+                        g = g ** expect(k + 2, "exponent")
+                        k += 2
+                    k += 1
+                    group = g if group is None else group * g
+                elif tok and tok not in _OPERATORS:
+                    _fail(text, f"unknown identifier {tok!r}", start)
+                else:
+                    _fail(text, f"expected a number, variable, or '(', found {tok or 'end of input'!r}", start)
+                tok = tokens[k]
+                if tok == "*":
+                    k += 1
+                elif tok and (tok not in _OPERATORS or tok == "("):
+                    # Juxtaposition is not multiplication here.
+                    _fail(text, f"missing '*' before {tok!r}", k)
+                else:
+                    break
+            c = Fraction(c) if p is None else c % p
+            if c:
+                if group is None:
+                    added = ((tuple(exps), c),)
+                else:
+                    if c != 1 or any(exps):
+                        group = group * Polynomial(ring, {tuple(exps): c}, _clean=True)
+                    added = group._terms.items()
+                for m, v in added:
+                    if negate:
+                        v = -v % mod
+                    if m in terms:
+                        s = (terms[m] + v) % mod
+                        if s:
+                            terms[m] = s
+                        else:
+                            del terms[m]
+                    else:
+                        terms[m] = v
+            tok = tokens[k]
+            if tok != "+" and tok != "-":
+                return terms, k
+            negate = tok == "-"
+            k += 1
+
+    terms, k = expression(0, 0)
+    if tokens[k]:
+        _fail(text, f"unexpected trailing {tokens[k]!r}", k)
+    return Polynomial(ring, terms, _clean=True)
+
+
+def _fail(text: str, message: str, k: int):
+    """Raise the parse error at the start of token k of `text` (its end for
+    the token past the last)."""
+    starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+    raise PolyParseError(message, starts[k])

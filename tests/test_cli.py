@@ -234,6 +234,13 @@ class TestRun:
         assert code == 1
         assert "column 3" in err
 
+    def test_deeply_nested_entry_exits_1_at_its_column(self, tmp_path, capsys):
+        # 256 levels parse; the '(' that opens level 257 is the error.
+        for depth, code in ((256, 0), (300, 1)):
+            doc = dict(MINIMAL, matrix={"kind": "ordinary", "entries": [["(" * depth + "x" + ")" * depth]]})
+            assert run(["height", write_problem(tmp_path, doc)]) == code
+        assert capsys.readouterr().err == "error: parentheses nested deeper than 256 (column 257)\n"
+
     def test_unreadable_file_exits_1(self, capsys):
         code = run(["height", "/nonexistent/path.json"])
         assert code == 1

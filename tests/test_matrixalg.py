@@ -1,14 +1,17 @@
 import random
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 
 from reeskit.deadline import time_limit
 from reeskit.errors import ComputationTimeout, DomainError, KindShapeError
+from reeskit.cli import Request, _run_analyses
+from reeskit.groebner import ideal_of_minors
 from reeskit.matrixalg import (
     MatrixKind,
     PolyMatrix,
+    _packed_entries,
     classical_adjoint,
     det_cofactor,
     determinant,
@@ -542,3 +545,50 @@ class TestPackedExpansion:
         with pytest.raises(ComputationTimeout, match="during Pfaffian enumeration$"):
             with time_limit(0.0):
                 enumerate_pfaffians(generic_matrix(6, 6, "alternating", field=F32003), 4)
+
+
+class TestPackingOnce:
+    """A matrix packs its entries once (`_packed_entries`), with room for
+    min(m, n) times its largest entry exponent, for every expansion of it."""
+
+    def test_lower_ideals_and_their_cut_share_one_packing_and_the_entry_dicts(self):
+        rng = random.Random("packing-once")
+        ring = PolyRing(("a", "b", "c", "d", "e"), field=F32003)
+
+        def form():
+            return sum((rng.randint(1, 9) * v for v in ring.gens()[: rng.randint(2, 5)]), ring.zero())
+
+        M = PolyMatrix("ordinary", [[form() for _ in range(4)] for _ in range(3)])
+        packed, entries = _packed_entries(M)
+        families = [minor_generators(M, t) for t in (1, 2, 3)]
+        for family in families:
+            assert family.packed is packed and family._entries is entries
+        section = families[2].cut(3)
+        assert section is not None and section.packed.packing is packed.packing
+        assert families[2].expand().packing is packed.packing
+        before = [[dict(e) for e in row] for row in entries]
+        terms = [[dict(e.terms) for e in row] for row in M.rows]
+        requests = [Request("height"), Request("gs", s=inf), Request("specialize"), Request("classify")]
+        report = _run_analyses(M, 3, requests)
+        assert [s["analysis"] for s in report["analyses"]] == ["height", "gs", "specialize", "classify"]
+        assert _packed_entries(M)[1] is entries and entries == before
+        assert [[dict(e.terms) for e in row] for row in M.rows] == terms
+
+    def test_a_square_matrix_packs_once_for_its_determinant_pfaffian_and_adjoints(self):
+        M = generic_matrix(4, 4, "alternating", field=F32003)
+        packed = _packed_entries(M)
+        pfaffian(M), pfaffian_adjoint(M), determinant(M), classical_adjoint(M)
+        assert pfaffian_generators(M, 2).packed is packed[0] and minor_generators(M, 3)._entries is packed[1]
+        assert _packed_entries(M) is packed and packed[0].packing.width == 8
+
+    def test_min_side_times_the_entry_exponent_past_63_packs_wider(self):
+        # Entries x_ij^25 of a 3x3 matrix: min(m, n)*e = 75 asks for room for
+        # 150, past the 127 of an 8-bit field.  Raising each variable to a
+        # power is a finite flat ring map, so the heights are the generic
+        # ones, 9, 4 and 1, as in the linear matrix.
+        generic = generic_matrix(3, 3, "ordinary", field=F32003)
+        powered = PolyMatrix("ordinary", [[e**25 for e in row] for row in generic.rows])
+        assert _packed_entries(powered)[0].packing.width > 8 and _packed_entries(generic)[0].packing.width == 8
+        heights = [ideal_of_minors(M, t).height() for M in (powered, generic) for t in (1, 2, 3)]
+        assert heights == [9, 4, 1] * 2
+        assert enumerate_minors(powered, 3) == [det_cofactor(powered)]

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from reeskit.errors import DomainError, PolyParseError, RingMismatchError
+from reeskit.deadline import time_limit
+from reeskit.errors import ComputationTimeout, DomainError, PolyParseError, RingMismatchError
 from reeskit.poly import (
     ALL_DEGREES,
     FieldSpec,
@@ -125,6 +126,136 @@ class TestParse:
         p = parse_poly("3 + 5", ring)
         assert p == ring.constant(1)
         assert parse_poly("0", ring).is_zero
+
+
+# Malformed texts in x and y over QQ (or GF(7)), each with the message and
+# column that the earlier token-list parser gave.
+MALFORMED = [
+    ("qq", "x y", "missing '*' before 'y' (column 3)"),
+    ("qq", "2x", "missing '*' before 'x' (column 2)"),
+    ("qq", "(x + y)(x - y)", "missing '*' before '(' (column 8)"),
+    ("qq", "٣x", "missing '*' before 'x' (column 2)"),
+    ("qq", "x + y)", "unexpected trailing ')' (column 6)"),
+    ("qq", "x^2^3", "unexpected trailing '^' (column 4)"),
+    ("qq", "x + 1/2/3", "unexpected trailing '/' (column 8)"),
+    ("qq", "(x + y", "expected ')', found 'end of input' (column 7)"),
+    ("qq", "((x*y)", "expected ')', found 'end of input' (column 7)"),
+    ("qq", "x^y", "expected exponent, found 'y' (column 3)"),
+    ("qq", "x^", "expected exponent, found 'end of input' (column 3)"),
+    ("qq", "x^-1", "expected exponent, found '-' (column 3)"),
+    ("qq", "3/0*x", "zero denominator (column 3)"),
+    ("qq", "1/", "expected denominator, found 'end of input' (column 3)"),
+    ("gf7", "1/14*x", "denominator 14 is divisible by the modulus 7 (column 3)"),
+    ("gf7", "x + 2/7", "denominator 7 is divisible by the modulus 7 (column 7)"),
+    ("qq", "x + zz", "unknown identifier 'zz' (column 5)"),
+    ("qq", "x*é", "unknown identifier 'é' (column 3)"),
+    ("qq", "x*y٣ + 1", "unknown identifier 'y٣' (column 3)"),
+    ("qq", "x^²", "unexpected character '²' (column 3)"),
+    ("qq", "²*x", "unexpected character '²' (column 1)"),
+    ("qq", "x y ²", "unexpected character '²' (column 5)"),
+    ("qq", "x $ y", "unexpected character '$' (column 3)"),
+    ("qq", "", "expected a number, variable, or '(', found 'end of input' (column 1)"),
+    ("qq", "   ", "expected a number, variable, or '(', found 'end of input' (column 4)"),
+    ("qq", "x +", "expected a number, variable, or '(', found 'end of input' (column 4)"),
+    ("qq", "*x", "expected a number, variable, or '(', found '*' (column 1)"),
+    ("qq", "x + ()", "expected a number, variable, or '(', found ')' (column 6)"),
+]
+
+
+def _random_sum(rng, p, depth):
+    """A sum node: (leading sign, [(op, term)]), op '+' or '-'; a term is a
+    list of factors (base, exponent or None); a base is ('nat', n),
+    ('frac', n, d), ('var', name) or ('group', sum)."""
+    def base():
+        r = rng.random()
+        if r < 0.25:
+            return ("nat", rng.choice([0, 1, 2, 3, 5, 7, 32003, 64009]))
+        if r < 0.35:
+            d = rng.randint(1, 9)
+            return ("frac", rng.randint(0, 9), d if p is None or d % p else 1)
+        if r < 0.8 or depth >= 2:
+            return ("var", rng.choice("xyz"))
+        return ("group", _random_sum(rng, p, depth + 1))
+
+    def term():
+        return [(base(), rng.choice([None, None, 0, 1, 2, 3])) for _ in range(rng.randint(1, 3))]
+
+    return rng.choice(["", "", "-", "+"]), [(rng.choice("+-"), term()) for _ in range(rng.randint(1, 3))]
+
+
+def _render(node, rng) -> str:
+    def space():
+        return rng.choice(["", "", " ", "  "])
+
+    def factor(b, e):
+        text = {"nat": lambda: str(b[1]), "frac": lambda: f"{b[1]}/{b[2]}", "var": lambda: b[1], "group": lambda: f"({_render(b[1], rng)})"}[b[0]]()
+        return text if e is None else f"{text}{space()}^{space()}{e}"
+
+    sign, terms = node
+    parts = [f"{space()}{'*'.join(space() + factor(b, e) + space() for b, e in t)}" for _, t in terms]
+    return sign + "".join((op + part) if i else part for i, ((op, _), part) in enumerate(zip(terms, parts)))
+
+
+def _evaluate(node, ring) -> Polynomial:
+    """The value of a sum node by `Polynomial` arithmetic, left to right."""
+    def factor(b, e):
+        kind = b[0]
+        v = {"nat": lambda: ring.constant(b[1]), "frac": lambda: ring.constant(Fraction(b[1], b[2])), "var": lambda: ring.var(b[1]), "group": lambda: _evaluate(b[1], ring)}[kind]()
+        return v if e is None else v**e
+
+    sign, terms = node
+    total = None
+    for op, t in terms:
+        value = factor(*t[0])
+        for f in t[1:]:
+            value = value * factor(*f)
+        if total is None:
+            total = -value if sign == "-" else value
+        else:
+            total = total - value if op == "-" else total + value
+    return total
+
+
+class TestParseCrossCheck:
+    @pytest.mark.parametrize("field", [FieldSpec.prime(2), FieldSpec.prime(3), FieldSpec.prime(32003), FieldSpec.rationals()], ids=str)
+    def test_random_trees_parse_to_their_polynomial_value(self, field):
+        # The terms, their coefficient types and their order are those of
+        # adding and multiplying the parsed pieces one by one.
+        rng = random.Random(f"parse-trees:{field}")
+        ring = PolyRing(("x", "y", "z"), field=field)
+        for _ in range(300):
+            tree = _random_sum(rng, field.p, 0)
+            text = _render(tree, rng)
+            got, expected = parse_poly(text, ring), _evaluate(tree, ring)
+            assert list(got.terms.items()) == list(expected.terms.items()), text
+            assert [type(c) for c in got.terms.values()] == [type(c) for c in expected.terms.values()], text
+
+    @pytest.mark.parametrize("field,text,message", MALFORMED)
+    def test_malformed_text_names_its_column(self, field, text, message):
+        ring = PolyRing(("x", "y"), field=FieldSpec.prime(7) if field == "gf7" else FieldSpec.rationals())
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text, ring)
+        assert str(exc.value) == message
+
+    def test_parentheses_nest_to_the_bound(self, qq_xy):
+        assert parse_poly("(" * 256 + "x" + ")" * 256, qq_xy) == qq_xy.var("x")
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly("(" * 5000 + "x" + ")" * 5000, qq_xy)
+        assert str(exc.value) == "parentheses nested deeper than 256 (column 257)"
+
+    def test_a_constant_power_reads_the_clock(self):
+        # The power 3^40000000 alone takes seconds over QQ.
+        ring = PolyRing(("x",))
+        with pytest.raises(ComputationTimeout, match="during polynomial arithmetic$"):
+            with time_limit(0.0):
+                parse_poly("3^40000000*x", ring)
+
+    def test_only_polynomial_arithmetic_reads_the_clock(self, qq_xy):
+        with time_limit(0.0):
+            assert parse_poly("3*x^2*y - 1/2*x + 7 - x*y*x", qq_xy) == parse_poly("7 - 1/2*x + 2*x^2*y", qq_xy)
+        with pytest.raises(ComputationTimeout, match="during polynomial arithmetic$"):
+            with time_limit(0.0):
+                parse_poly("x + (x + y)*(x - y)", qq_xy)
 
 
 class TestArithmetic:
